@@ -3,9 +3,9 @@
 // mode through the three paper detectors.
 //
 // Each sweep point scores the same deterministic feature matrix:
-//   * kernel  — "scalar" (per-row predict(), the pre-overhaul loop) vs
-//     "batched" (the cache-blocked score_batch kernels), toggled through
-//     the Classifier::set_batched_inference legacy switch;
+//   * kernel  — "scalar" (per-row predict(), the pre-overhaul loop, run
+//     through the PerRowPredict adapter below) vs "batched" (the
+//     cache-blocked score_batch kernels);
 //   * exec    — "inline" (simulation thread) vs "offthread" (the
 //     ids::InferenceEngine SPSC worker).
 // The kernels are bit-identical by construction and the engine is FIFO,
@@ -37,7 +37,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,35 @@ std::vector<ml::DesignMatrix> split_batches(const ml::DesignMatrix& x, std::size
   return out;
 }
 
+/// The scalar kernel: scores a batch by calling the wrapped model's
+/// predict() once per row. As a Classifier it runs inline and on the
+/// InferenceEngine worker alike.
+class PerRowPredict final : public ml::Classifier {
+ public:
+  explicit PerRowPredict(const ml::Classifier& model) : model_{model} {}
+
+  std::string name() const override { return model_.name(); }
+  void fit(const ml::DesignMatrix&, const std::vector<int>&) override {
+    throw std::logic_error("PerRowPredict: scoring only");
+  }
+  int predict(std::span<const double> row) const override { return model_.predict(row); }
+  void score_batch(const ml::DesignMatrix& x, ml::Verdicts& out) const override {
+    out.clear();
+    out.reserve(x.rows());
+    for (std::size_t i = 0; i < x.rows(); ++i) out.push_back(model_.predict(x.row(i)));
+  }
+  bool trained() const override { return model_.trained(); }
+  void save(util::ByteWriter& w) const override { model_.save(w); }
+  void load(util::ByteReader&) override { throw std::logic_error("PerRowPredict: scoring only"); }
+  std::uint64_t parameter_bytes() const override { return model_.parameter_bytes(); }
+  std::uint64_t inference_scratch_bytes() const override {
+    return model_.inference_scratch_bytes();
+  }
+
+ private:
+  const ml::Classifier& model_;
+};
+
 void score_pass_inline(const ml::Classifier& model, const std::vector<ml::DesignMatrix>& batches,
                        ml::Verdicts* sink) {
   ml::Verdicts v;
@@ -162,9 +193,10 @@ void score_pass_offthread(ids::InferenceEngine& engine,
   if (backpressure) *backpressure = engine.stats().backpressure_waits;
 }
 
-RunResult run_point(const ml::Classifier& model, const ml::DesignMatrix& eval, std::size_t batch,
+RunResult run_point(const ml::Classifier& trained, const ml::DesignMatrix& eval, std::size_t batch,
                     bool batched_kernel, bool offthread, double min_measure_seconds) {
-  ml::Classifier::set_batched_inference(batched_kernel);
+  const PerRowPredict per_row{trained};
+  const ml::Classifier& model = batched_kernel ? trained : per_row;
   const std::vector<ml::DesignMatrix> batches = split_batches(eval, batch);
 
   RunResult r;
@@ -209,8 +241,6 @@ RunResult run_point(const ml::Classifier& model, const ml::DesignMatrix& eval, s
       r.rows_scored ? cpu_delta * 1e6 / static_cast<double>(r.rows_scored) : 0.0;
   r.weight_bytes = model.parameter_bytes();
   r.peak_rss_kb = peak_rss_kb();
-
-  ml::Classifier::set_batched_inference(true);
   return r;
 }
 
@@ -483,7 +513,6 @@ int main(int argc, char** argv) {
   // number, not a tolerance band.
   Int8Parity parity;
   {
-    ml::Classifier::set_batched_inference(true);
     ml::Verdicts float_v, int8_v;
     models.get("cnn").score_batch(eval, float_v);
     cnn_int8->score_batch(eval, int8_v);

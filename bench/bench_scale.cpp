@@ -1,17 +1,14 @@
-// bench_scale: macrobenchmark of the hot-path overhaul, sweeping device
+// bench_scale: macrobenchmark of the simulation hot path, sweeping device
 // count through the real Testbed + RealTimeIds pipeline.
 //
-// Each sweep point runs the same deterministic scenario twice per mode
-// request:
-//   * "legacy" — binary-heap scheduler + per-packet heap allocation
-//     (PacketPool bypass): the pre-overhaul configuration;
-//   * "tuned"  — calendar-queue scheduler + pooled packets.
-// Both modes execute the identical event sequence (the scheduler backends
-// pop in the same (when, seq) order and the pool does not change
-// behaviour), so total events / tapped packets are deterministic counters:
-// equal across modes, stable across machines, and gateable in CI. Wall-
-// clock throughput (events/s, packets/s) is machine-dependent and reported
-// but never gated.
+// Each testbed sweep point runs one deterministic scenario on the
+// production event loop: calendar-queue scheduler and pre-sized packet
+// pool. Total events and tapped packets are deterministic counters,
+// stable across machines and gateable in CI, as is the pool's zero
+// steady-state allocation count; wall-clock throughput (events/s,
+// packets/s) is machine-dependent and reported but never gated. The
+// numbers of the pre-overhaul configuration it replaced are kept in the
+// committed BENCH_SCALE.json and EXPERIMENTS.md.
 //
 // A second sweep exercises the sharded simulator (core/shard_sim.hpp) on
 // the clustered fleet workload at 10k-100k devices:
@@ -31,26 +28,26 @@
 //
 // A third sweep (--ids) runs the sharded detection pipeline end to end —
 // per-cluster egress taps, windowed scoring, verdict-driven mitigation —
-// A/B-ing legacy per-record capture against the columnar batch path at
-// shard counts 1/2/8. The detection surface (rows, truth/predicted,
-// row/verdict/action digests) is mode- and shard-count-invariant, gated
-// in-process and pinned by --ids-golden; captured-packets/s and the
-// window-close latency percentiles are the reported speedup.
+// at shard counts 1/2/8, next to a "flat" one-cluster, one-shard run. The
+// detection surface (rows, truth/predicted, row/verdict/action digests)
+// is shard-count-invariant, gated in-process and pinned by --ids-golden;
+// captured-packets/s and the window-close latency percentiles are the
+// reported performance.
 //
 // Usage:
-//   bench_scale [--small] [--mode both|tuned|legacy|none] [--out FILE]
+//   bench_scale [--small] [--no-testbed-sweep] [--out FILE]
 //               [--golden FILE] [--write-golden FILE]
 //               [--shard-golden FILE] [--write-shard-golden FILE]
 //               [--no-shard-sweep] [--ids]
 //               [--ids-golden FILE] [--write-ids-golden FILE]
-// --mode none skips the legacy/tuned sweep, running only the shard sweeps.
+// --no-testbed-sweep skips the testbed sweep (and the model training it
+// needs), running only the shard sweeps.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -58,15 +55,12 @@
 #include <thread>
 #include <vector>
 
-#include "apps/app.hpp"
 #include "core/pipeline.hpp"
 #include "core/scenario.hpp"
 #include "core/shard_workload.hpp"
 #include "core/testbed.hpp"
 #include "features/extractor.hpp"
-#include "features/window_stats.hpp"
 #include "ml/kmeans.hpp"
-#include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "util/logging.hpp"
 
@@ -88,12 +82,11 @@ const std::vector<SweepPoint> kSmallSweep = {{10, 6}, {50, 4}};
 constexpr std::uint64_t kScenarioSeed = 42;
 
 struct RunResult {
-  std::string mode;
   std::size_t devices = 0;
   std::int64_t sim_seconds = 0;
   double wall_seconds = 0.0;
   double measured_wall_seconds = 0.0;  // post-warmup phase only
-  // Deterministic counters (identical across modes and machines).
+  // Deterministic counters (identical across machines).
   std::uint64_t events_total = 0;
   std::uint64_t packets_total = 0;
   // Machine-dependent throughput over the measured phase.
@@ -151,24 +144,15 @@ core::Scenario make_scale_scenario(const SweepPoint& point) {
   return s;
 }
 
-// In-flight ceiling the tuned pool is pre-sized to; runs report
+// In-flight ceiling the pool is pre-sized to; runs report
 // pool_outstanding_high_water so a sweep that outgrows it is visible.
 constexpr std::size_t kPoolReservePackets = 32 * 1024;
 
-RunResult run_point(const SweepPoint& point, const std::string& mode,
-                    const ml::Classifier& model) {
-  const bool legacy = mode == "legacy";
-  net::Simulator::set_default_scheduler(legacy ? net::SchedulerKind::kBinaryHeap
-                                               : net::SchedulerKind::kCalendar);
-  features::set_reference_window_counters(legacy);
-  net::Node::set_route_cache_enabled(!legacy);
-  apps::App::set_eager_prune_compat(legacy);
+RunResult run_point(const SweepPoint& point, const ml::Classifier& model) {
   core::Testbed tb{make_scale_scenario(point)};
   tb.deploy();
   net::Simulator& sim = tb.network().simulator();
-  sim.set_alloc_compat(legacy);
-  sim.packet_pool().set_bypass(legacy);
-  if (!legacy) sim.packet_pool().reserve(kPoolReservePackets);
+  sim.packet_pool().reserve(kPoolReservePackets);
   ids::RealTimeIds& ids = tb.deploy_ids(model);
 
   const util::SimTime warmup = tb.scenario().duration / 2;
@@ -182,13 +166,7 @@ RunResult run_point(const SweepPoint& point, const std::string& mode,
   tb.run();
   const auto t2 = std::chrono::steady_clock::now();
 
-  net::Simulator::set_default_scheduler(net::SchedulerKind::kCalendar);
-  features::set_reference_window_counters(false);
-  net::Node::set_route_cache_enabled(true);
-  apps::App::set_eager_prune_compat(false);
-
   RunResult r;
-  r.mode = mode;
   r.devices = point.devices;
   r.sim_seconds = point.sim_seconds;
   r.wall_seconds = std::chrono::duration<double>(t2 - t0).count();
@@ -323,17 +301,16 @@ ShardRunResult run_shard_point(const ShardSweepPoint& point) {
 
 // ---------------------------------------------------------------------------
 // Sharded IDS sweep (--ids): the detection pipeline (per-cluster egress
-// taps, windowed scoring, verdict-driven edge mitigation) on the clustered
-// workload, A/B-ing the legacy per-record capture against the columnar
-// batch path and sweeping the shard count. The detection surface (rows,
-// truth/predicted counts, row/verdict digests, ActionLog) is mode- and
-// shard-count-invariant — gated in-process and golden-pinned — while
-// captured-packets/s and the window-close latency distribution are the
-// measured speedup.
+// taps, columnar capture, windowed scoring, verdict-driven edge
+// mitigation) on the clustered workload, sweeping the shard count. The
+// detection surface (rows, truth/predicted counts, row/verdict digests,
+// ActionLog) is shard-count-invariant — gated in-process and
+// golden-pinned — while captured-packets/s and the window-close latency
+// distribution are the measured performance.
 // ---------------------------------------------------------------------------
 
 struct IdsSweepPoint {
-  const char* mode = "";  // "legacy" or "columnar"
+  const char* label = "";  // "flat" or "clustered"
   std::size_t devices = 0;
   std::size_t clusters = 0;
   std::size_t shards = 0;
@@ -343,40 +320,36 @@ struct IdsSweepPoint {
   double flood_pps = 0.0;
 };
 
-// "legacy-flat" (clusters=1, shards=1, per-record capture) is the flat
-// single-loop IDS baseline — the pre-overhaul architecture — that the
-// columnar/sharded speedups in ids_comparison are measured against. The
-// clustered "legacy" row is the capture-mode A/B partner: it must match
-// every columnar row at its fleet size byte for byte (the equivalence
-// gate); the flat row's detection surface differs because the workload
-// layout does, so it is pinned on its own golden line, never compared.
+// "flat" (clusters=1, shards=1) is the single-loop IDS baseline that the
+// sharded runs in ids_comparison are measured against. Its detection
+// surface differs from the clustered rows because the workload layout
+// does, so it is pinned on its own golden line, never compared; clustered
+// rows at a fleet size must match each other byte for byte (the
+// equivalence gate).
 const std::vector<IdsSweepPoint> kFullIdsSweep = {
-    {"legacy-flat", 1000, 1, 1, 600, 150, 50, 400.0},
-    {"legacy", 1000, 64, 1, 600, 150, 50, 400.0},
-    {"columnar", 1000, 64, 1, 600, 150, 50, 400.0},
-    {"columnar", 1000, 64, 2, 600, 150, 50, 400.0},
-    {"columnar", 1000, 64, 8, 600, 150, 50, 400.0},
-    {"legacy-flat", 10000, 1, 1, 600, 150, 500, 400.0},
-    {"legacy", 10000, 64, 1, 600, 150, 500, 400.0},
-    {"columnar", 10000, 64, 1, 600, 150, 500, 400.0},
-    {"columnar", 10000, 64, 2, 600, 150, 500, 400.0},
-    {"columnar", 10000, 64, 8, 600, 150, 500, 400.0},
+    {"flat", 1000, 1, 1, 600, 150, 50, 400.0},
+    {"clustered", 1000, 64, 1, 600, 150, 50, 400.0},
+    {"clustered", 1000, 64, 2, 600, 150, 50, 400.0},
+    {"clustered", 1000, 64, 8, 600, 150, 50, 400.0},
+    {"flat", 10000, 1, 1, 600, 150, 500, 400.0},
+    {"clustered", 10000, 64, 1, 600, 150, 500, 400.0},
+    {"clustered", 10000, 64, 2, 600, 150, 500, 400.0},
+    {"clustered", 10000, 64, 8, 600, 150, 500, 400.0},
 };
 const std::vector<IdsSweepPoint> kSmallIdsSweep = {
-    {"legacy-flat", 256, 1, 1, 400, 150, 16, 400.0},
-    {"legacy", 256, 16, 1, 400, 150, 16, 400.0},
-    {"columnar", 256, 16, 1, 400, 150, 16, 400.0},
-    {"columnar", 256, 16, 2, 400, 150, 16, 400.0},
+    {"flat", 256, 1, 1, 400, 150, 16, 400.0},
+    {"clustered", 256, 16, 1, 400, 150, 16, 400.0},
+    {"clustered", 256, 16, 2, 400, 150, 16, 400.0},
 };
 
 struct IdsRunResult {
-  std::string mode;
+  std::string label;
   std::size_t devices = 0;
   std::size_t clusters = 0;
   std::size_t shards = 0;
   std::int64_t sim_millis = 0;
   double wall_seconds = 0.0;
-  // Mode- and shard-count-invariant detection surface (golden-pinned).
+  // Shard-count-invariant detection surface (golden-pinned).
   std::uint64_t ids_rows = 0;
   std::uint64_t ids_truth = 0;
   std::uint64_t ids_predicted = 0;
@@ -425,15 +398,14 @@ IdsRunResult run_ids_point(const IdsSweepPoint& point, const std::string& timese
   cfg.flood_device_count = point.flood_devices;
   cfg.flood_pps = point.flood_pps;
   cfg.ids_enabled = true;
-  cfg.ids.columnar = std::strcmp(point.mode, "columnar") == 0;
   if (!timeseries_base.empty()) {
     // One ndjson stream per sweep point, suffixed by its coordinates, so a
     // sweep leaves the whole grid's live series behind as artifacts.
     cfg.telemetry = true;
     cfg.slo = true;
-    cfg.timeseries_path = timeseries_base + "." + point.mode + "-" +
-                          std::to_string(point.devices) + "d" +
-                          std::to_string(point.shards) + "s.ndjson";
+    cfg.timeseries_path = timeseries_base + "." + point.label + "-" +
+                          std::to_string(point.devices) + "d" + std::to_string(point.shards) +
+                          "s.ndjson";
   }
   // Flood devices send ~40 rows per 100ms window at these rates; the
   // default min_packets (64) would sit above that and the mitigation
@@ -445,7 +417,7 @@ IdsRunResult run_ids_point(const IdsSweepPoint& point, const std::string& timese
   const auto t1 = std::chrono::steady_clock::now();
 
   IdsRunResult r;
-  r.mode = point.mode;
+  r.label = point.label;
   r.devices = point.devices;
   r.clusters = point.clusters;
   r.shards = point.shards;
@@ -492,8 +464,6 @@ std::unique_ptr<ml::Classifier> train_model() {
   return model;
 }
 
-std::string json_escape_mode(const RunResult& r) { return r.mode; }
-
 void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
                 const std::vector<RunResult>& runs,
                 const std::vector<ShardRunResult>& shard_runs,
@@ -512,15 +482,14 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
   }
   out << "],\n";
   out << "    \"notes\": \"deterministic counters (events_total, packets_total) are "
-         "identical across modes and machines; *_per_sec and peak_rss_kb are "
+         "identical across machines; *_per_sec and peak_rss_kb are "
          "machine-dependent and not gated; peak_rss_kb is the process high water "
          "at sample time\"\n";
   out << "  },\n";
   out << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
-    out << "    {\"mode\": \"" << json_escape_mode(r) << "\", \"devices\": " << r.devices
-        << ", \"sim_seconds\": " << r.sim_seconds << ",\n";
+    out << "    {\"devices\": " << r.devices << ", \"sim_seconds\": " << r.sim_seconds << ",\n";
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "     \"wall_seconds\": %.3f, \"events_per_sec\": %.0f, "
@@ -540,26 +509,6 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
         << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  // Per-size legacy-vs-tuned comparison when both modes ran.
-  out << "  \"comparison\": [";
-  bool first = true;
-  for (const RunResult& tuned : runs) {
-    if (tuned.mode != "tuned") continue;
-    for (const RunResult& legacy : runs) {
-      if (legacy.mode != "legacy" || legacy.devices != tuned.devices) continue;
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n    {\"devices\": %zu, \"legacy_packets_per_sec\": %.0f, "
-                    "\"tuned_packets_per_sec\": %.0f, \"speedup\": %.2f}",
-                    first ? "" : ",", tuned.devices, legacy.packets_per_sec,
-                    tuned.packets_per_sec,
-                    legacy.packets_per_sec > 0 ? tuned.packets_per_sec / legacy.packets_per_sec
-                                               : 0.0);
-      out << buf;
-      first = false;
-    }
-  }
-  out << (first ? "" : "\n  ") << "],\n";
   // Sharded scale sweep (empty when --no-shard-sweep).
   out << "  \"shard_config\": {\n";
   out << "    \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n";
@@ -625,21 +574,20 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
   out << "  \"ids_config\": {\n";
   out << "    \"notes\": \"full detection pipeline on the clustered workload: "
          "per-cluster egress taps, 100ms windows, verdict-driven edge "
-         "mitigation (min_packets=16). rows/truth/predicted/windows and the "
-         "row/verdict/action digests are mode- and shard-count-invariant and "
+         "mitigation (min_packets=16), columnar capture folded into streaming "
+         "window accumulators. rows/truth/predicted/windows and the "
+         "row/verdict/action digests are shard-count-invariant and "
          "golden-pinned; captured_packets_per_sec and the window-close "
-         "latency percentiles are machine-dependent. 'legacy-flat' "
-         "(clusters=1, per-record capture) is the flat single-loop IDS "
-         "baseline; its workload layout differs, so only runs sharing a "
-         "cluster count are equivalence-gated. 'columnar' batches capture "
-         "into RecordBatches and folds them into streaming window "
-         "accumulators. ids_comparison reports every run against the flat "
-         "baseline at the same fleet size.\"\n";
+         "latency percentiles are machine-dependent. 'flat' (clusters=1) is "
+         "the single-loop IDS baseline; its workload layout differs, so only "
+         "runs sharing a cluster count are equivalence-gated. ids_comparison "
+         "reports every clustered run against the flat baseline at the same "
+         "fleet size.\"\n";
   out << "  },\n";
   out << "  \"ids_runs\": [\n";
   for (std::size_t i = 0; i < ids_runs.size(); ++i) {
     const IdsRunResult& r = ids_runs[i];
-    out << "    {\"mode\": \"" << r.mode << "\", \"devices\": " << r.devices
+    out << "    {\"label\": \"" << r.label << "\", \"devices\": " << r.devices
         << ", \"clusters\": " << r.clusters << ", \"shards\": " << r.shards
         << ", \"sim_millis\": " << r.sim_millis << ",\n";
     char buf[256];
@@ -667,23 +615,22 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
   out << "  \"ids_comparison\": [";
   bool ids_first = true;
   for (const IdsRunResult& run : ids_runs) {
-    if (run.mode == "legacy-flat") continue;
+    if (run.label != "clustered") continue;
     for (const IdsRunResult& base : ids_runs) {
-      if (base.mode != "legacy-flat" || base.devices != run.devices) continue;
+      if (base.label != "flat" || base.devices != run.devices) continue;
       char buf[384];
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s\n    {\"devices\": %zu, \"mode\": \"%s\", \"shards\": %zu, "
-          "\"baseline_packets_per_sec\": %.0f, \"packets_per_sec\": %.0f, "
-          "\"speedup\": %.2f, \"baseline_close_p99_ns\": %lld, "
-          "\"close_p99_ns\": %lld}",
-          ids_first ? "" : ",", run.devices, run.mode.c_str(), run.shards,
-          base.captured_packets_per_sec, run.captured_packets_per_sec,
-          base.captured_packets_per_sec > 0
-              ? run.captured_packets_per_sec / base.captured_packets_per_sec
-              : 0.0,
-          static_cast<long long>(base.close_p99_ns),
-          static_cast<long long>(run.close_p99_ns));
+      std::snprintf(buf, sizeof(buf),
+                    "%s\n    {\"devices\": %zu, \"shards\": %zu, "
+                    "\"baseline_packets_per_sec\": %.0f, \"packets_per_sec\": %.0f, "
+                    "\"speedup\": %.2f, \"baseline_close_p99_ns\": %lld, "
+                    "\"close_p99_ns\": %lld}",
+                    ids_first ? "" : ",", run.devices, run.shards, base.captured_packets_per_sec,
+                    run.captured_packets_per_sec,
+                    base.captured_packets_per_sec > 0
+                        ? run.captured_packets_per_sec / base.captured_packets_per_sec
+                        : 0.0,
+                    static_cast<long long>(base.close_p99_ns),
+                    static_cast<long long>(run.close_p99_ns));
       out << buf;
       ids_first = false;
     }
@@ -697,8 +644,7 @@ void write_json(const std::string& path, const std::vector<SweepPoint>& sweep,
 }
 
 // Golden format: one "devices events_total packets_total" line per sweep
-// point ('#' lines are comments). Counters come from tuned-mode runs but
-// are mode-independent by construction.
+// point ('#' lines are comments).
 int check_golden(const std::string& path, const std::vector<RunResult>& runs) {
   std::ifstream file{path};
   if (!file) {
@@ -719,7 +665,7 @@ int check_golden(const std::string& path, const std::vector<RunResult>& runs) {
     }
     bool found = false;
     for (const RunResult& r : runs) {
-      if (r.mode != "tuned" || r.devices != devices) continue;
+      if (r.devices != devices) continue;
       found = true;
       ++checked;
       if (r.events_total != events || r.packets_total != packets) {
@@ -734,7 +680,7 @@ int check_golden(const std::string& path, const std::vector<RunResult>& runs) {
       }
     }
     if (!found) {
-      std::fprintf(stderr, "GOLDEN FAIL: no tuned run for devices=%zu\n", devices);
+      std::fprintf(stderr, "GOLDEN FAIL: no testbed run for devices=%zu\n", devices);
       ++failures;
     }
   }
@@ -751,9 +697,8 @@ int check_golden(const std::string& path, const std::vector<RunResult>& runs) {
 void write_golden(const std::string& path, const std::vector<RunResult>& runs) {
   std::ofstream file{path};
   file << "# bench_scale deterministic counters: devices events_total packets_total\n";
-  file << "# Regenerate with: bench_scale --small --mode tuned --write-golden <this file>\n";
+  file << "# Regenerate with: bench_scale --small --no-shard-sweep --write-golden <this file>\n";
   for (const RunResult& r : runs) {
-    if (r.mode != "tuned") continue;
     file << r.devices << " " << r.events_total << " " << r.packets_total << "\n";
   }
   std::printf("wrote golden %s\n", path.c_str());
@@ -841,7 +786,8 @@ void write_shard_golden(const std::string& path,
           "digest_devices tserver_rx device_rx upstream_sent gossip_sent\n";
   file << "# Rows differing only in 'shards' must carry identical "
           "digests/counts (shard-count invariance).\n";
-  file << "# Regenerate with: bench_scale [--small] --mode none --write-shard-golden <this file>\n";
+  file << "# Regenerate with: bench_scale [--small] --no-testbed-sweep --write-shard-golden "
+          "<this file>\n";
   for (const ShardRunResult& r : runs) {
     file << r.devices << " " << r.clusters << " " << r.shards << " "
          << r.digest_tserver << " " << r.digest_devices << " "
@@ -854,10 +800,9 @@ void write_shard_golden(const std::string& path,
 // IDS golden format: one line per sweep point,
 //   devices clusters shards rows truth predicted windows
 //   row_digest verdict_digest action_digest
-// Every field is deterministic and both mode- and shard-count-invariant:
-// a line matches every run at its (devices, clusters, shards) key, and
-// rows differing only in 'shards' carry identical values — the committed
-// file documents the detection-surface equivalence the tests prove.
+// Every field is deterministic and shard-count-invariant: rows differing
+// only in 'shards' carry identical values — the committed file documents
+// the detection-surface equivalence the tests prove.
 int check_ids_golden(const std::string& path, const std::vector<IdsRunResult>& runs) {
   std::ifstream file{path};
   if (!file) {
@@ -888,25 +833,23 @@ int check_ids_golden(const std::string& path, const std::vector<IdsRunResult>& r
           r.ids_predicted != predicted || r.ids_windows != windows ||
           r.row_digest != row_dig || r.verdict_digest != verdict_dig ||
           r.action_digest != action_dig) {
-        std::fprintf(stderr,
-                     "IDS GOLDEN FAIL: devices=%zu clusters=%zu shards=%zu "
-                     "mode=%s expected %llu %llu %llu %llu %llu %llu %llu, "
-                     "got %llu %llu %llu %llu %llu %llu %llu\n",
-                     devices, clusters, shards, r.mode.c_str(),
-                     static_cast<unsigned long long>(rows),
-                     static_cast<unsigned long long>(truth),
-                     static_cast<unsigned long long>(predicted),
-                     static_cast<unsigned long long>(windows),
-                     static_cast<unsigned long long>(row_dig),
-                     static_cast<unsigned long long>(verdict_dig),
-                     static_cast<unsigned long long>(action_dig),
-                     static_cast<unsigned long long>(r.ids_rows),
-                     static_cast<unsigned long long>(r.ids_truth),
-                     static_cast<unsigned long long>(r.ids_predicted),
-                     static_cast<unsigned long long>(r.ids_windows),
-                     static_cast<unsigned long long>(r.row_digest),
-                     static_cast<unsigned long long>(r.verdict_digest),
-                     static_cast<unsigned long long>(r.action_digest));
+        std::fprintf(
+            stderr,
+            "IDS GOLDEN FAIL: devices=%zu clusters=%zu shards=%zu "
+            "label=%s expected %llu %llu %llu %llu %llu %llu %llu, "
+            "got %llu %llu %llu %llu %llu %llu %llu\n",
+            devices, clusters, shards, r.label.c_str(), static_cast<unsigned long long>(rows),
+            static_cast<unsigned long long>(truth), static_cast<unsigned long long>(predicted),
+            static_cast<unsigned long long>(windows), static_cast<unsigned long long>(row_dig),
+            static_cast<unsigned long long>(verdict_dig),
+            static_cast<unsigned long long>(action_dig),
+            static_cast<unsigned long long>(r.ids_rows),
+            static_cast<unsigned long long>(r.ids_truth),
+            static_cast<unsigned long long>(r.ids_predicted),
+            static_cast<unsigned long long>(r.ids_windows),
+            static_cast<unsigned long long>(r.row_digest),
+            static_cast<unsigned long long>(r.verdict_digest),
+            static_cast<unsigned long long>(r.action_digest));
         ++failures;
       }
     }
@@ -933,19 +876,14 @@ void write_ids_golden(const std::string& path, const std::vector<IdsRunResult>& 
   std::ofstream file{path};
   file << "# bench_scale IDS sweep: devices clusters shards rows truth predicted "
           "windows row_digest verdict_digest action_digest\n";
-  file << "# Values are mode- and shard-count-invariant: rows differing only in "
-          "'shards' must match, and legacy/columnar runs share a line.\n";
-  file << "# Regenerate with: bench_scale [--small] --mode none --no-shard-sweep "
+  file << "# Values are shard-count-invariant: rows differing only in 'shards' must "
+          "match.\n";
+  file << "# Regenerate with: bench_scale [--small] --no-testbed-sweep --no-shard-sweep "
           "--ids --write-ids-golden <this file>\n";
-  std::vector<std::string> seen;
   for (const IdsRunResult& r : runs) {
-    std::ostringstream key;
-    key << r.devices << " " << r.clusters << " " << r.shards;
-    if (std::find(seen.begin(), seen.end(), key.str()) != seen.end()) continue;
-    seen.push_back(key.str());
-    file << key.str() << " " << r.ids_rows << " " << r.ids_truth << " "
-         << r.ids_predicted << " " << r.ids_windows << " " << r.row_digest << " "
-         << r.verdict_digest << " " << r.action_digest << "\n";
+    file << r.devices << " " << r.clusters << " " << r.shards << " " << r.ids_rows << " "
+         << r.ids_truth << " " << r.ids_predicted << " " << r.ids_windows << " " << r.row_digest
+         << " " << r.verdict_digest << " " << r.action_digest << "\n";
   }
   std::printf("wrote ids golden %s\n", path.c_str());
 }
@@ -957,9 +895,9 @@ int main(int argc, char** argv) {
   util::Logger::instance().set_level(util::LogLevel::kWarn);
 
   bool small = false;
+  bool testbed_sweep_enabled = true;
   bool shard_sweep_enabled = true;
   bool ids_sweep_enabled = false;
-  std::string mode = "both";
   std::string out_path = "BENCH_SCALE.json";
   std::string golden_path;
   std::string write_golden_path;
@@ -979,8 +917,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--small") {
       small = true;
-    } else if (arg == "--mode") {
-      mode = next();
+    } else if (arg == "--no-testbed-sweep") {
+      testbed_sweep_enabled = false;
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--golden") {
@@ -1002,10 +940,10 @@ int main(int argc, char** argv) {
       write_ids_golden_path = next();
       ids_sweep_enabled = true;
     } else if (arg == "--timeseries") {
-      ids_timeseries_base = next();  // per-point ndjson: <base>.<mode>-<N>d<S>s.ndjson
+      ids_timeseries_base = next();  // per-point ndjson: <base>.<label>-<N>d<S>s.ndjson
     } else {
       std::fprintf(stderr,
-                   "usage: bench_scale [--small] [--mode both|tuned|legacy|none] [--out FILE] "
+                   "usage: bench_scale [--small] [--no-testbed-sweep] [--out FILE] "
                    "[--golden FILE] [--write-golden FILE] "
                    "[--shard-golden FILE] [--write-shard-golden FILE] "
                    "[--no-shard-sweep] [--ids] "
@@ -1014,25 +952,19 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (mode != "both" && mode != "tuned" && mode != "legacy" && mode != "none") {
-    std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-    return 2;
-  }
 
+  // --- testbed sweep --------------------------------------------------------
+  // The served model is trained only when the testbed sweep runs, so CI
+  // can gate the shard sweeps alone in benchmark wall time.
   const std::vector<SweepPoint>& sweep = small ? kSmallSweep : kFullSweep;
-  // "--mode none" skips the legacy/tuned sweep (and the model training it
-  // needs) so CI can gate the shard sweep alone in benchmark wall time.
-  std::unique_ptr<ml::Classifier> model;
-  if (mode != "none") model = train_model();
-
   std::vector<RunResult> runs;
-  for (const SweepPoint& point : sweep) {
-    if (mode == "none") break;
-    for (const char* m : {"legacy", "tuned"}) {
-      if (mode != "both" && mode != m) continue;
-      std::printf("[run] devices=%zu sim_seconds=%lld mode=%s...\n", point.devices,
-                  static_cast<long long>(point.sim_seconds), m);
-      runs.push_back(run_point(point, m, *model));
+  int exit_code = 0;
+  if (testbed_sweep_enabled) {
+    const std::unique_ptr<ml::Classifier> model = train_model();
+    for (const SweepPoint& point : sweep) {
+      std::printf("[run] devices=%zu sim_seconds=%lld...\n", point.devices,
+                  static_cast<long long>(point.sim_seconds));
+      runs.push_back(run_point(point, *model));
       const RunResult& r = runs.back();
       std::printf(
           "      events=%llu packets=%llu wall=%.2fs events/s=%.0f packets/s=%.0f "
@@ -1040,35 +972,13 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.events_total),
           static_cast<unsigned long long>(r.packets_total), r.wall_seconds, r.events_per_sec,
           r.packets_per_sec, static_cast<unsigned long long>(r.pool_steady_state_allocs));
-    }
-  }
-
-  // Cross-mode determinism check: both backends must execute the identical
-  // event sequence.
-  int exit_code = 0;
-  for (const RunResult& tuned : runs) {
-    if (tuned.mode != "tuned") continue;
-    for (const RunResult& legacy : runs) {
-      if (legacy.mode != "legacy" || legacy.devices != tuned.devices) continue;
-      if (legacy.events_total != tuned.events_total ||
-          legacy.packets_total != tuned.packets_total) {
+      if (r.pool_steady_state_allocs != 0) {
         std::fprintf(stderr,
-                     "DETERMINISM FAIL: devices=%zu legacy(events=%llu packets=%llu) != "
-                     "tuned(events=%llu packets=%llu)\n",
-                     tuned.devices, static_cast<unsigned long long>(legacy.events_total),
-                     static_cast<unsigned long long>(legacy.packets_total),
-                     static_cast<unsigned long long>(tuned.events_total),
-                     static_cast<unsigned long long>(tuned.packets_total));
+                     "POOL FAIL: devices=%zu allocated %llu packet slots after warmup "
+                     "(expected 0)\n",
+                     r.devices, static_cast<unsigned long long>(r.pool_steady_state_allocs));
         exit_code = 1;
       }
-    }
-    if (tuned.pool_steady_state_allocs != 0) {
-      std::fprintf(stderr,
-                   "POOL FAIL: devices=%zu tuned mode allocated %llu packet slots after "
-                   "warmup (expected 0)\n",
-                   tuned.devices,
-                   static_cast<unsigned long long>(tuned.pool_steady_state_allocs));
-      exit_code = 1;
     }
   }
 
@@ -1123,8 +1033,8 @@ int main(int argc, char** argv) {
     const std::vector<IdsSweepPoint>& ids_sweep =
         small ? kSmallIdsSweep : kFullIdsSweep;
     for (const IdsSweepPoint& point : ids_sweep) {
-      std::printf("[ids] devices=%zu clusters=%zu shards=%zu mode=%s...\n",
-                  point.devices, point.clusters, point.shards, point.mode);
+      std::printf("[ids] devices=%zu clusters=%zu shards=%zu label=%s...\n", point.devices,
+                  point.clusters, point.shards, point.label);
       ids_runs.push_back(run_ids_point(point, ids_timeseries_base));
       const IdsRunResult& r = ids_runs.back();
       std::printf(
@@ -1142,9 +1052,9 @@ int main(int argc, char** argv) {
         exit_code = 1;
       }
     }
-    // In-process detection-equivalence gate: every run at a fleet size —
-    // legacy or columnar, any shard count — must produce the identical
-    // detection surface.
+    // In-process detection-equivalence gate: every run at a fleet size and
+    // cluster count, any shard count, must produce the identical detection
+    // surface.
     for (const IdsRunResult& a : ids_runs) {
       for (const IdsRunResult& b : ids_runs) {
         if (&a >= &b || a.devices != b.devices || a.clusters != b.clusters)
@@ -1156,25 +1066,22 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "IDS EQUIVALENCE FAIL: devices=%zu: %s/shards=%zu and "
                        "%s/shards=%zu disagree on the detection surface\n",
-                       a.devices, a.mode.c_str(), a.shards, b.mode.c_str(),
-                       b.shards);
+                       a.devices, a.label.c_str(), a.shards, b.label.c_str(), b.shards);
           exit_code = 1;
         }
       }
     }
-    // The headline speedup: each columnar/sharded run vs the flat
+    // The headline speedup: each clustered/sharded run vs the flat
     // single-loop baseline at its fleet size (reported, never gated —
     // wall clock is machine-dependent).
     for (const IdsRunResult& run : ids_runs) {
-      if (run.mode != "columnar") continue;
+      if (run.label != "clustered") continue;
       for (const IdsRunResult& base : ids_runs) {
-        if (base.mode != "legacy-flat" || base.devices != run.devices ||
+        if (base.label != "flat" || base.devices != run.devices ||
             base.captured_packets_per_sec <= 0)
           continue;
-        std::printf(
-            "[ids] devices=%zu columnar shards=%zu speedup vs flat legacy: %.2fx\n",
-            run.devices, run.shards,
-            run.captured_packets_per_sec / base.captured_packets_per_sec);
+        std::printf("[ids] devices=%zu clustered shards=%zu speedup vs flat: %.2fx\n", run.devices,
+                    run.shards, run.captured_packets_per_sec / base.captured_packets_per_sec);
       }
     }
   }

@@ -4,13 +4,6 @@
 
 namespace ddoshield::apps {
 
-namespace {
-bool g_eager_prune_compat = false;
-}
-
-void App::set_eager_prune_compat(bool on) { g_eager_prune_compat = on; }
-bool App::eager_prune_compat() { return g_eager_prune_compat; }
-
 App::App(container::Container& owner, std::string name, util::Rng rng)
     : owner_{owner}, name_{std::move(name)}, rng_{rng} {}
 
@@ -42,11 +35,6 @@ void App::prune_timers() {
   // since the last sweep, not on every call — an app holding hundreds of
   // live timers (flood pacing, many parallel sessions) would otherwise
   // pay a full scan per newly armed timer.
-  if (g_eager_prune_compat) {
-    if (timers_.size() < 64) return;
-    std::erase_if(timers_, [](const net::EventHandle& h) { return !h.pending(); });
-    return;
-  }
   if (timers_.size() < prune_threshold_) return;
   std::erase_if(timers_, [](const net::EventHandle& h) { return !h.pending(); });
   prune_threshold_ = std::max<std::size_t>(64, timers_.size() * 2);

@@ -35,14 +35,6 @@ class App {
   /// Stops the app and cancels all pending self-scheduled events.
   void stop();
 
-  /// Process-wide switch restoring the original timer-prune policy: a full
-  /// sweep of the timer list on every schedule() once it holds 64 handles.
-  /// The production policy only sweeps after the list doubles (amortized
-  /// O(1) per schedule); bench_scale's legacy mode turns this on to
-  /// reproduce the original per-event cost profile.
-  static void set_eager_prune_compat(bool on);
-  static bool eager_prune_compat();
-
  protected:
   virtual void on_start() = 0;
   virtual void on_stop() {}

@@ -10,7 +10,7 @@
 //
 //  * per-record sinks (add_sink): one SinkFn call per captured packet —
 //    the original fan-out, kept for row-oriented consumers (the dataset
-//    recorder, the IDS's legacy compat mode);
+//    recorder);
 //  * batch sinks (add_batch_sink): captured packets accumulate into a
 //    columnar RecordBatch and every BatchSink sees the same const batch
 //    once per `batch_capacity` packets, or earlier at an explicit

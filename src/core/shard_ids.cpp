@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -44,9 +43,8 @@ struct ShardIdsPipeline::TapState final : capture::BatchSink {
   }
 
   capture::PacketTap tap;
-  capture::RecordBatch wbuf;                    // open window, struct-of-arrays
-  features::WindowAccumulator acc;              // streaming fold (canonical ties)
-  std::vector<capture::PacketRecord> records;   // legacy mode: AoS buffer
+  capture::RecordBatch wbuf;        // open window, struct-of-arrays
+  features::WindowAccumulator acc;  // streaming fold (canonical ties)
 };
 
 ShardIdsPipeline::ShardIdsPipeline(ShardedSim& sim, const ml::Classifier& model,
@@ -75,13 +73,7 @@ capture::PacketTap& ShardIdsPipeline::add_tap(std::size_t shard) {
     obs::ScopedObsDomain scope{sim_.domain(shard)};
     state = std::make_unique<TapState>(tc);
   }
-  if (config_.columnar) {
-    state->tap.add_batch_sink(state.get());
-  } else {
-    TapState* raw = state.get();
-    state->tap.add_sink(
-        [raw](const capture::PacketRecord& r) { raw->records.push_back(r); });
-  }
+  state->tap.add_batch_sink(state.get());
   taps_.push_back(std::move(state));
   return taps_.back()->tap;
 }
@@ -108,8 +100,6 @@ void ShardIdsPipeline::arm() {
     // detection lag and trip the SLO before any traffic flows.
     m_window_rows_->set(0.0);
     m_detect_lag_p99_->set(0.0);
-    if (config_.offload_inference)
-      engine_ = std::make_unique<ids::InferenceEngine>(model_);
   }
   mitigate::VerdictPolicy::Hooks hooks;
   hooks.install_acl = [this](std::uint32_t src) {
@@ -139,10 +129,9 @@ void ShardIdsPipeline::on_window(util::SimTime now) {
 
 void ShardIdsPipeline::flush(util::SimTime now) {
   if (!armed_) return;
-  if (config_.columnar)
-    for (auto& t : taps_) t->tap.flush_batch();
+  for (auto& t : taps_) t->tap.flush_batch();
   std::uint64_t pending = 0;
-  for (auto& t : taps_) pending += t->wbuf.size() + t->records.size();
+  for (auto& t : taps_) pending += t->wbuf.size();
   if (pending == 0) return;  // aligned end: the hook already closed it
   close_window(now, static_cast<std::uint64_t>(now.ns() / config_.window.ns()));
 }
@@ -151,22 +140,9 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   const auto wall0 = std::chrono::steady_clock::now();
 
   // 1. Pull the boundary's partial batches so every captured record of the
-  //    closing window is in wbuf/acc (columnar) — arrival-order bucketing,
-  //    same as the flat IDS's flush-at-tick.
-  if (config_.columnar)
-    for (auto& t : taps_) t->tap.flush_batch();
-
-  // 2. Legacy baseline: the whole fold happens here, at the boundary — the
-  //    O(packets) close spike the columnar path amortises away.
-  if (!config_.columnar) {
-    for (auto& t : taps_) {
-      t->wbuf.reserve(t->records.size());
-      for (const auto& r : t->records) {
-        t->wbuf.push_record(r);
-        t->acc.add(r);
-      }
-    }
-  }
+  //    closing window is in wbuf/acc — arrival-order bucketing, same as the
+  //    flat IDS's flush-at-tick.
+  for (auto& t : taps_) t->tap.flush_batch();
 
   // ACL expiry runs every boundary, events only for non-empty windows —
   // mirrors the MitigationController tick against the RealTimeIds bus.
@@ -176,7 +152,7 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   for (auto& t : taps_) rows += t->wbuf.size();
   if (rows == 0) return;
 
-  // 3. Merge the per-tap partials in tap creation order (the pinned merge
+  // 2. Merge the per-tap partials in tap creation order (the pinned merge
   //    order Chan's Welford combination needs) and finalize once.
   features::WindowAccumulator merged{rows};
   for (auto& t : taps_) {
@@ -185,7 +161,7 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   }
   const features::WindowStats stats = merged.finalize(config_.window);
 
-  // 4. Emit rows per tap in canonical batch order: capture order with
+  // 3. Emit rows per tap in canonical batch order: capture order with
   //    same-nanosecond runs content-sorted — the one layout-dependent
   //    degree of freedom, erased.
   ml::DesignMatrix x{features::kFeatureCount};
@@ -197,13 +173,7 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   srcs.reserve(rows);
   for (auto& t : taps_) {
     const auto order = features::canonical_batch_order(t->wbuf, 0, t->wbuf.size());
-    if (config_.columnar) {
-      for (const auto& row : features::make_feature_rows(t->wbuf, order, stats))
-        x.add_row(row);
-    } else {
-      for (const std::uint32_t i : order)
-        x.add_row(features::make_feature_row(t->wbuf.record_at(i), stats));
-    }
+    for (const auto& row : features::make_feature_rows(t->wbuf, order, stats)) x.add_row(row);
     for (const std::uint32_t i : order) {
       truths.push_back(t->wbuf.is_malicious(i) ? 1 : 0);
       srcs.push_back(t->wbuf.src_addr()[i]);
@@ -214,16 +184,9 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   for (std::size_t r = 0; r < x.rows(); ++r)
     for (const double v : x.row(r)) fnv_mix(row_digest_, std::bit_cast<std::uint64_t>(v));
 
-  // 5. Score: inline on this (shard 0) thread, or on the engine's scoring
-  //    thread — submitted and collected at the boundary, so the verdict
-  //    stream is identical either way.
+  // 4. Score on this (shard 0) thread.
   ml::Verdicts verdicts;
-  if (engine_) {
-    engine_->submit(std::move(x));
-    verdicts = engine_->collect().verdicts;
-  } else {
-    model_.score_batch(x, verdicts);
-  }
+  model_.score_batch(x, verdicts);
 
   std::uint64_t predicted = 0;
   std::uint64_t truth = 0;
@@ -233,24 +196,16 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
     truth += truths[i];
   }
 
-  // 6. Mitigation: per-source verdict slices in ascending src order, then
+  // 5. Mitigation: per-source verdict slices in ascending src order, then
   //    the shared ladder with now = the boundary instant.
   if (config_.mitigation) {
-    std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> per_src;
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-      auto& [packets, flagged] = per_src[srcs[i]];
-      ++packets;
-      flagged += verdicts[i] == 1;
-    }
     ids::WindowVerdictEvent event;
     event.window_index = index;
     event.window_start = util::SimTime::nanos(static_cast<std::int64_t>(index) *
                                               config_.window.ns());
     event.packets = rows;
     event.predicted_malicious = predicted;
-    event.sources.reserve(per_src.size());
-    for (const auto& [src, pf] : per_src)
-      event.sources.push_back({src, pf.first, pf.second});
+    event.sources = ids::group_verdicts_by_source(srcs, verdicts);
     policy_.process_event(event, now.ns());
   }
 
@@ -278,14 +233,12 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   m_window_rows_->set(static_cast<double>(rows));
   m_windows_closed_->inc();
   m_rows_->inc(rows);
-  if (engine_) engine_->publish_metrics();
 
-  // 7. Reset for the next window (reset wipes the canonical-ties flag).
+  // 6. Reset for the next window (reset wipes the canonical-ties flag).
   for (auto& t : taps_) {
     t->wbuf.clear();
     t->acc.reset();
     t->acc.set_canonical_ties(true);
-    t->records.clear();
   }
 
   const auto wall1 = std::chrono::steady_clock::now();

@@ -8,9 +8,9 @@
 // and a streaming WindowAccumulator that folds on the owning shard's
 // thread as batches flush. At every window boundary the fleet pauses at
 // the ShardedSim sync hook and shard 0 merges the per-tap partials, builds
-// the merged feature rows, scores them (inline or on the InferenceEngine),
-// and walks the verdicts through the shared mitigate::VerdictPolicy,
-// enforcing through every cluster edge's EdgeFilter.
+// the merged feature rows, scores them, and walks the verdicts through the
+// shared mitigate::VerdictPolicy, enforcing through every cluster edge's
+// EdgeFilter.
 //
 // Determinism contract (DESIGN.md §15) — why the merged windows are
 // byte-identical across shard counts:
@@ -32,11 +32,8 @@
 //    decisions execute at the boundary instant with byte-identical
 //    ActionLog lines.
 //
-// The legacy mode (`columnar = false`) is the A/B baseline: per-record
-// std::function sinks buffer AoS records all window and the whole fold
-// (plus row building) happens at the boundary — the O(packets)
-// close-spike the columnar path amortises. Both modes produce
-// byte-identical rows, verdicts and ActionLogs (CI-gated).
+// features_accumulator_test checks the streaming fold and column-wise row
+// building against the per-record compute_window_stats + make_feature_row.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +46,6 @@
 #include "capture/tap.hpp"
 #include "core/shard_sim.hpp"
 #include "features/window_accumulator.hpp"
-#include "ids/infer_engine.hpp"
 #include "mitigate/mitigation.hpp"
 #include "mitigate/policy.hpp"
 #include "ml/classifier.hpp"
@@ -65,15 +61,8 @@ namespace ddoshield::core {
 
 struct ShardIdsConfig {
   util::SimTime window = util::SimTime::millis(100);
-  /// Columnar capture + streaming accumulation (default); false = the
-  /// legacy per-record buffering baseline with fold-at-close.
-  bool columnar = true;
   /// Captured packets per columnar batch before the fold runs.
   std::size_t tap_batch_capacity = 256;
-  /// Score merged windows on the InferenceEngine's dedicated thread
-  /// (submitted and collected at the boundary — verdicts identical to
-  /// inline scoring by the engine's FIFO determinism argument).
-  bool offload_inference = false;
   /// Walk verdicts through the VerdictPolicy and enforce on the
   /// registered edge filters. Off = detection-only (no ActionLog).
   bool mitigation = true;
@@ -136,7 +125,6 @@ class ShardIdsPipeline {
   // --- perf surface (wall clock; never part of equality) ------------------
   /// Wall nanoseconds per window close (merge + rows + score + policy).
   const std::vector<std::int64_t>& close_wall_ns() const { return close_wall_ns_; }
-  const ids::InferenceEngine* engine() const { return engine_.get(); }
 
  private:
   struct TapState;
@@ -150,7 +138,6 @@ class ShardIdsPipeline {
   std::vector<std::unique_ptr<TapState>> taps_;  // merge order
   std::vector<mitigate::EdgeFilter*> filters_;
   mitigate::VerdictPolicy policy_;
-  std::unique_ptr<ids::InferenceEngine> engine_;
   bool armed_ = false;
 
   std::vector<ShardIdsWindow> windows_;

@@ -21,8 +21,8 @@
 //    buffered and folded in sorted record-content order, erasing the one
 //    source of cross-layout order divergence in a per-tap stream (event
 //    tie-breaks at equal nanoseconds). Off by default — the flat IDS path
-//    folds in exact arrival order to stay bit-identical to the legacy
-//    recompute.
+//    folds in exact arrival order to stay bit-identical to the per-record
+//    compute_window_stats recompute.
 //  * ordered merge (`merge_from`): partial accumulators are folded with
 //    Chan's parallel-Welford combination, which is deterministic only for
 //    a fixed merge order — callers merge per-tap partials in tap creation

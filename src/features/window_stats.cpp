@@ -1,14 +1,8 @@
 #include "features/window_stats.hpp"
 
-#include <cmath>
-#include <cstdint>
-#include <map>
 #include <stdexcept>
-#include <tuple>
 
 #include "features/window_accumulator.hpp"
-#include "net/packet.hpp"
-#include "util/stats.hpp"
 
 namespace ddoshield::features {
 
@@ -25,95 +19,6 @@ void WindowStats::fill_row(FeatureRow& row) const {
   row[kWinUdpFraction] = udp_fraction;
 }
 
-namespace {
-
-// The original tree-map tallies, kept runtime-selectable so bench_scale's
-// legacy mode can measure the seed's per-packet cost profile on the same
-// binary. The production path lives in WindowAccumulator (open-addressing
-// FlatTables, incremental fold); both produce identical statistics.
-struct MapCounters {
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint16_t, std::uint16_t, std::uint8_t>,
-           std::uint32_t>
-      flow_packets;
-  std::map<std::tuple<std::uint32_t, std::uint16_t>, std::uint32_t> syn_per_src_dport;
-  util::FrequencyCounter dst_ports;
-  util::FrequencyCounter src_addrs;
-
-  void count_flow_packet(const capture::PacketRecord& r) {
-    ++flow_packets[{r.src_addr, r.dst_addr, r.src_port, r.dst_port, r.protocol}];
-  }
-  void count_syn(const capture::PacketRecord& r) {
-    ++syn_per_src_dport[{r.src_addr, r.dst_port}];
-  }
-  std::uint64_t short_lived_flows() const {
-    std::uint64_t n = 0;
-    for (const auto& [key, count] : flow_packets) n += count <= 2;
-    return n;
-  }
-  std::uint64_t repeated_attempts() const {
-    std::uint64_t n = 0;
-    for (const auto& [key, syns] : syn_per_src_dport) n += syns >= 3;
-    return n;
-  }
-};
-
-bool g_reference_counters = false;
-
-WindowStats compute_with_maps(std::span<const capture::PacketRecord> packets,
-                              util::SimTime window_duration) {
-  WindowStats stats;
-
-  util::OnlineStats seq_stats;
-  util::OnlineStats payload_stats;
-  MapCounters counters;
-
-  std::uint64_t total_bytes = 0;
-  std::uint64_t tcp_packets = 0;
-  std::uint64_t udp_packets = 0;
-  std::uint64_t syn_no_ack = 0;
-
-  for (const auto& r : packets) {
-    total_bytes += r.wire_bytes;
-    counters.dst_ports.add(r.dst_port);
-    counters.src_addrs.add(r.src_addr);
-    payload_stats.add(static_cast<double>(r.payload_bytes));
-    counters.count_flow_packet(r);
-
-    if (r.is_tcp()) {
-      ++tcp_packets;
-      seq_stats.add(static_cast<double>(r.seq));
-      const bool syn = r.has_flag(net::TcpFlags::kSyn);
-      const bool ack = r.has_flag(net::TcpFlags::kAck);
-      if (syn && !ack) {
-        ++syn_no_ack;
-        counters.count_syn(r);
-      }
-    } else if (r.is_udp()) {
-      ++udp_packets;
-    }
-  }
-
-  stats.packet_count = packets.size();
-  stats.byte_rate = static_cast<double>(total_bytes) / window_duration.to_seconds();
-  stats.dst_port_entropy = counters.dst_ports.entropy();
-  stats.src_addr_entropy = counters.src_addrs.entropy();
-  stats.syn_no_ack_ratio =
-      tcp_packets == 0 ? 0.0 : static_cast<double>(syn_no_ack) / static_cast<double>(tcp_packets);
-  stats.short_lived_flows = static_cast<double>(counters.short_lived_flows());
-  stats.repeated_attempts = static_cast<double>(counters.repeated_attempts());
-  stats.seq_variance_log = std::log10(1.0 + seq_stats.variance());
-  stats.mean_payload = payload_stats.mean();
-  stats.udp_fraction = packets.empty()
-                           ? 0.0
-                           : static_cast<double>(udp_packets) / static_cast<double>(packets.size());
-  return stats;
-}
-
-}  // namespace
-
-void set_reference_window_counters(bool on) { g_reference_counters = on; }
-bool reference_window_counters() { return g_reference_counters; }
-
 WindowStats compute_window_stats(std::span<const capture::PacketRecord> packets,
                                  util::SimTime window_duration) {
   if (window_duration <= util::SimTime{}) {
@@ -121,10 +26,9 @@ WindowStats compute_window_stats(std::span<const capture::PacketRecord> packets,
   }
   WindowStats stats;
   if (packets.empty()) return stats;
-  if (g_reference_counters) return compute_with_maps(packets, window_duration);
-  // Production path: one fold implementation shared with the streaming
-  // accumulator, so recompute-at-close and incremental accumulation are
-  // bit-identical by construction.
+  // One fold implementation shared with the streaming accumulator, so
+  // recompute-at-close and incremental accumulation are bit-identical by
+  // construction.
   WindowAccumulator acc{packets.size()};
   for (const auto& r : packets) acc.add(r);
   return acc.finalize(window_duration);

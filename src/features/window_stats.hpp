@@ -30,17 +30,12 @@ struct WindowStats {
 };
 
 /// Computes the statistics over one window's packets.
-/// `window_duration` must be positive; it scales byte_rate.
+/// `window_duration` must be positive; it scales byte_rate. Folds through
+/// WindowAccumulator (open-addressing flow/SYN tallies, key-sorted entropy
+/// sums), so the result is bit-identical to the original tree-map
+/// implementation that tests/features_test.cpp keeps as its reference.
 WindowStats compute_window_stats(std::span<const capture::PacketRecord> packets,
                                  util::SimTime window_duration);
-
-/// Selects the flow-tally implementation behind compute_window_stats:
-/// false (default) = open-addressing FlatTable; true = the original
-/// tree-map implementation, kept as the runtime-selectable reference that
-/// bench_scale's legacy mode measures against. Both produce identical
-/// statistics.
-void set_reference_window_counters(bool on);
-bool reference_window_counters();
 
 /// Builds the basic-feature prefix of a row from one packet.
 void fill_basic_features(const capture::PacketRecord& record, FeatureRow& row);

@@ -13,6 +13,22 @@ namespace ddoshield::ids {
 
 using util::SimTime;
 
+std::vector<SourceVerdict> group_verdicts_by_source(std::span<const std::uint32_t> row_sources,
+                                                    std::span<const int> verdicts) {
+  std::map<std::uint32_t, SourceVerdict> by_source;
+  const std::size_t rows = std::min(row_sources.size(), verdicts.size());
+  for (std::size_t i = 0; i < rows; ++i) {
+    SourceVerdict& sv = by_source[row_sources[i]];
+    sv.src_addr = row_sources[i];
+    ++sv.packets;
+    sv.flagged += verdicts[i] != 0 ? 1u : 0u;
+  }
+  std::vector<SourceVerdict> sources;
+  sources.reserve(by_source.size());
+  for (const auto& [addr, sv] : by_source) sources.push_back(sv);
+  return sources;
+}
+
 RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,
                          const ml::Classifier& model, IdsConfig config)
     : App{owner, "realtime-ids", rng},
@@ -54,20 +70,13 @@ RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,
 }
 
 void RealTimeIds::attach_tap(capture::PacketTap& tap) {
-  if (config_.columnar) {
-    taps_.push_back(&tap);
-    tap.add_batch_sink(this);
-    return;
-  }
-  tap.add_sink([this](const capture::PacketRecord& r) {
-    if (running()) on_record(r);
-  });
+  taps_.push_back(&tap);
+  tap.add_batch_sink(this);
 }
 
 void RealTimeIds::on_start() {
   // Purge any pre-start partial batch before accepting: those records were
-  // captured while the app was down, exactly the ones the legacy sink's
-  // running() check drops per record.
+  // captured while the app was down.
   for (capture::PacketTap* tap : taps_) tap->flush_batch();
   accepting_ = true;
   current_window_ = static_cast<std::uint64_t>(sim().now().ns() / config_.window.ns());
@@ -90,19 +99,6 @@ void RealTimeIds::schedule_tick() {
   });
 }
 
-void RealTimeIds::on_record(const capture::PacketRecord& record) {
-  buffer_.push_back(record);
-  if (flight_->sampled(record.uid)) {
-    // Sim clock at hand-over, not record.timestamp: the tap may add a
-    // capture clock offset that the detection-lag series must not absorb.
-    window_samples_.push_back(
-        WindowSample{record.uid, sim().now().ns(), record.is_malicious()});
-  }
-  buffer_peak_bytes_ = std::max<std::uint64_t>(
-      buffer_peak_bytes_, buffer_.capacity() * sizeof(capture::PacketRecord));
-  m_backlog_->set(static_cast<double>(buffer_.size()));
-}
-
 void RealTimeIds::on_batch(const capture::RecordBatch& batch) {
   if (!accepting_) return;
   const auto& uid = batch.uid();
@@ -113,7 +109,7 @@ void RealTimeIds::on_batch(const capture::RecordBatch& batch) {
     if (flight_->sampled(uid[i])) {
       // The sim clock at capture, reconstructed from the stamped timestamp
       // (the tap's clock offset must not leak into the detection-lag
-      // series) — the same value the legacy sink reads from sim().now().
+      // series).
       window_samples_.push_back(
           WindowSample{uid[i], ts[i] - batch.clock_offset_ns(), batch.is_malicious(i)});
     }
@@ -139,17 +135,14 @@ void RealTimeIds::close_window() {
     m_model_version_->set(static_cast<double>(lifecycle_->version()));
   }
 
-  // Columnar mode: pull the partial batch sitting in each tap so the
-  // window's final records don't straddle the boundary. Records captured
-  // at exactly the boundary instant but before this tick flushed earlier
-  // into this window — the same arrival-order bucketing as the legacy
-  // buffer (windows are closed by tick order, not by timestamp).
-  const bool columnar = config_.columnar;
-  if (columnar) {
-    for (capture::PacketTap* tap : taps_) tap->flush_batch();
-  }
+  // Pull the partial batch sitting in each tap so the window's final
+  // records don't straddle the boundary. Records captured at exactly the
+  // boundary instant but before this tick flushed earlier into this
+  // window: arrival-order bucketing (windows are closed by tick order, not
+  // by timestamp).
+  for (capture::PacketTap* tap : taps_) tap->flush_batch();
 
-  const std::size_t rows = columnar ? wbuf_.size() : buffer_.size();
+  const std::size_t rows = wbuf_.size();
   if (rows == 0) {
     if (engine_) drain_completed(/*block=*/false);
     return;
@@ -168,36 +161,17 @@ void RealTimeIds::close_window() {
   ml::DesignMatrix x{features::kFeatureCount};
   {
     obs::ScopedTimer timer{*m_feature_ns_, report.cpu_feature_ns};
-    if (columnar) {
-      // O(uniques) finalize of the incrementally-folded tallies, then
-      // column-wise row building — no per-packet recompute at the edge.
-      stats = acc_.finalize(config_.window);
-      x.reserve(rows);
-      for (const auto& row : features::make_feature_rows(wbuf_, 0, rows, stats)) {
-        x.add_row(row);
-      }
-    } else {
-      stats = features::compute_window_stats(buffer_, config_.window);
-      x.reserve(rows);
-      for (const auto& r : buffer_) x.add_row(features::make_feature_row(r, stats));
+    // O(uniques) finalize of the incrementally-folded tallies, then
+    // column-wise row building — no per-packet recompute at the edge.
+    stats = acc_.finalize(config_.window);
+    x.reserve(rows);
+    for (const auto& row : features::make_feature_rows(wbuf_, 0, rows, stats)) {
+      x.add_row(row);
     }
   }
   pending.truths.reserve(rows);
-  if (columnar) {
-    for (std::size_t i = 0; i < rows; ++i)
-      pending.truths.push_back(wbuf_.is_malicious(i) ? 1 : 0);
-  } else {
-    for (const auto& r : buffer_) pending.truths.push_back(r.is_malicious() ? 1 : 0);
-  }
-  if (verdict_sink_) {
-    pending.row_sources.reserve(rows);
-    if (columnar) {
-      const auto& src = wbuf_.src_addr();
-      pending.row_sources.assign(src.begin(), src.end());
-    } else {
-      for (const auto& r : buffer_) pending.row_sources.push_back(r.src_addr);
-    }
-  }
+  for (std::size_t i = 0; i < rows; ++i) pending.truths.push_back(wbuf_.is_malicious(i) ? 1 : 0);
+  if (verdict_sink_) pending.row_sources = wbuf_.src_addr();
   pending.samples = std::move(window_samples_);
   window_samples_.clear();
 
@@ -208,12 +182,8 @@ void RealTimeIds::close_window() {
     lifecycle_->publish_metrics();
   }
 
-  if (columnar) {
-    wbuf_.clear();
-    acc_.reset();
-  } else {
-    buffer_.clear();
-  }
+  wbuf_.clear();
+  acc_.reset();
   m_backlog_->set(0.0);
 
   pending.close_sim_ns = sim().now().ns();
@@ -320,17 +290,7 @@ void RealTimeIds::finalize_window(PendingWindow&& pending, const ml::Verdicts& v
     event.packets = report.packets;
     event.predicted_malicious = report.predicted_malicious;
     event.model_version = report.model_version;
-    // Ordered aggregation so the event is a pure function of the window's
-    // rows, independent of arrival interleavings.
-    std::map<std::uint32_t, SourceVerdict> by_source;
-    for (std::size_t i = 0; i < verdicts.size() && i < pending.row_sources.size(); ++i) {
-      SourceVerdict& sv = by_source[pending.row_sources[i]];
-      sv.src_addr = pending.row_sources[i];
-      ++sv.packets;
-      sv.flagged += verdicts[i] != 0 ? 1u : 0u;
-    }
-    event.sources.reserve(by_source.size());
-    for (auto& [addr, sv] : by_source) event.sources.push_back(sv);
+    event.sources = group_verdicts_by_source(pending.row_sources, verdicts);
     verdict_sink_(event);
   }
 }
@@ -371,10 +331,8 @@ void RealTimeIds::drain_completed(bool block) {
 void RealTimeIds::flush() {
   // Pull partial batches first so end-of-run records reach the final
   // (partial) window; close_window's own flush is then a no-op.
-  if (config_.columnar) {
-    for (capture::PacketTap* tap : taps_) tap->flush_batch();
-  }
-  if (config_.columnar ? !wbuf_.empty() : !buffer_.empty()) close_window();
+  for (capture::PacketTap* tap : taps_) tap->flush_batch();
+  if (!wbuf_.empty()) close_window();
   if (engine_) drain_completed(/*block=*/true);
 }
 

@@ -1,18 +1,20 @@
 // The Real-Time IDS Unit (Fig. 2): monitor → preprocess → detect.
 //
 // Runs as an app inside the IDS container. A PacketTap on the victim
-// feeds it records; a periodic simulator timer closes each time window
-// (1 s by default, user-configurable per §III-B); at window close the IDS
-// computes the statistical features, stamps them onto each packet's basic
-// features, runs the loaded model over every row, and records a
-// per-window report with the window's accuracy — the quantity Table I
-// averages and §IV-D's per-second analysis plots.
+// feeds it columnar record batches, which fold into a streaming window
+// accumulator as they flush; a periodic simulator timer closes each time
+// window (1 s by default, user-configurable per §III-B). At window close
+// the IDS finalizes the statistical features, stamps them onto each
+// packet's basic features, runs the loaded model over every row, and
+// records a per-window report with the window's accuracy — the quantity
+// Table I averages and §IV-D's per-second analysis plots.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -44,6 +46,13 @@ struct SourceVerdict {
   std::uint32_t packets = 0;  // rows from this source in the window
   std::uint32_t flagged = 0;  // rows the model called malicious
 };
+
+/// Groups one window's per-row verdicts by row source, ascending by
+/// src_addr, counting each source's rows and flagged (non-zero) verdicts.
+/// A pure function of the rows, independent of arrival interleavings; the
+/// one group-by both IDS pipelines publish to their verdict policies.
+std::vector<SourceVerdict> group_verdicts_by_source(std::span<const std::uint32_t> row_sources,
+                                                    std::span<const int> verdicts);
 
 /// What the verdict bus publishes for every scored window. Carries only
 /// deterministic fields (no wall-clock measurements) so subscribers can
@@ -88,14 +97,6 @@ struct IdsSummary {
 struct IdsConfig {
   util::SimTime window = util::SimTime::seconds(1);
   ResourceMeterConfig meter;
-  /// Columnar capture path (default): attach_tap subscribes a BatchSink,
-  /// records accumulate struct-of-arrays, the window statistics fold
-  /// incrementally as batches flush, and window close is an O(uniques)
-  /// finalize plus column-wise row building. false = the legacy
-  /// per-record std::function path with recompute-at-close, kept as the
-  /// compat baseline; reports, verdicts and flight samples are
-  /// bit-identical either way (CI-gated).
-  bool columnar = true;
   /// Scores each closed window on the dedicated InferenceEngine thread
   /// instead of inline. The verdict sequence is identical either way (see
   /// DESIGN.md §10); reports for in-flight windows materialise when their
@@ -114,10 +115,9 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
   RealTimeIds(container::Container& owner, util::Rng rng, const ml::Classifier& model,
               IdsConfig config = {});
 
-  /// Connects the IDS to a capture tap (typically on the TServer).
-  /// Columnar mode registers a batch sink and remembers the tap so window
-  /// close can pull its partial batch; legacy mode registers a per-record
-  /// sink. Attach before the traffic of interest (tap contract).
+  /// Connects the IDS to a capture tap (typically on the TServer): registers
+  /// a batch sink and remembers the tap so window close can pull its
+  /// partial batch. Attach before the traffic of interest (tap contract).
   void attach_tap(capture::PacketTap& tap);
 
   /// BatchSink: a columnar batch flushed from an attached tap.
@@ -128,9 +128,7 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
 
   /// Packets buffered in the currently open window (the obs sampler's
   /// "ids.window_backlog" probe).
-  std::size_t window_backlog() const {
-    return config_.columnar ? wbuf_.size() : buffer_.size();
-  }
+  std::size_t window_backlog() const { return wbuf_.size(); }
 
   /// The offload engine, or null in inline mode (tests reconcile its
   /// backpressure stats against the flight recorder's wait series).
@@ -186,7 +184,6 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
     std::int64_t submit_wall_ns = 0; // wall clock at inference submit
   };
 
-  void on_record(const capture::PacketRecord& record);
   void close_window();
   void schedule_tick();
   /// Fills in the verdict-derived report fields and commits the report.
@@ -207,12 +204,10 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
   std::unique_ptr<InferenceEngine> engine_;
   std::unique_ptr<ml::lifecycle::LifecycleManager> lifecycle_;
   std::deque<PendingWindow> pending_;
-  std::vector<capture::PacketRecord> buffer_;  // legacy per-record mode
-  // Columnar mode: the open window as struct-of-arrays plus the streaming
-  // accumulator it folds into as batches flush. `accepting_` gates batch
-  // ingestion: on_start flushes attached taps first so records captured
-  // before the app started are dropped exactly like the legacy sink's
-  // running() check drops them.
+  // The open window as struct-of-arrays plus the streaming accumulator it
+  // folds into as batches flush. `accepting_` gates batch ingestion:
+  // on_start flushes attached taps first so records captured before the
+  // app started are dropped.
   capture::RecordBatch wbuf_;
   features::WindowAccumulator acc_;
   std::vector<capture::PacketTap*> taps_;

@@ -1,32 +1,13 @@
 #include "ml/classifier.hpp"
 
-#include <atomic>
-
 #include "obs/metrics.hpp"
 
 namespace ddoshield::ml {
 
-namespace {
-// Default-on, like PR 3's tuned paths; benches and tests flip it per run.
-std::atomic<bool> g_batched_inference{true};
-}  // namespace
-
-void Classifier::set_batched_inference(bool enabled) {
-  g_batched_inference.store(enabled, std::memory_order_relaxed);
-}
-
-bool Classifier::batched_inference() {
-  return g_batched_inference.load(std::memory_order_relaxed);
-}
-
-void Classifier::score_rows_scalar(const DesignMatrix& x, Verdicts& out) const {
+void Classifier::score_batch(const DesignMatrix& x, Verdicts& out) const {
   out.clear();
   out.reserve(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) out.push_back(predict(x.row(i)));
-}
-
-void Classifier::score_batch(const DesignMatrix& x, Verdicts& out) const {
-  score_rows_scalar(x, out);
 }
 
 bool Classifier::incremental_update(const DesignMatrix& /*x*/, const std::vector<int>& /*y*/,

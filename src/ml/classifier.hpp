@@ -39,12 +39,11 @@ class Classifier {
 
   /// Scores every row of x into out (resized to x.rows()).
   ///
-  /// With batched inference enabled (the default), the three paper models
-  /// override this with cache-blocked kernels that are bit-identical to
-  /// calling predict() per row: every floating-point reduction keeps the
-  /// scalar path's accumulation order, only the loop structure (and the
-  /// per-row allocations) change. With the legacy switch off — the PR 3
-  /// idiom for A/B runs — every override falls back to the scalar loop.
+  /// The three paper models override this with cache-blocked kernels that
+  /// are bit-identical to calling predict() per row: every floating-point
+  /// reduction keeps the scalar path's accumulation order, only the loop
+  /// structure (and the per-row allocations) change. predict() stays the
+  /// public oracle the batched kernels are tested against.
   ///
   /// Thread contract: const, allocation-bounded, and registry-free, so
   /// the off-thread ids::InferenceEngine may call it from its scoring
@@ -52,12 +51,6 @@ class Classifier {
   /// obs-instrumented entry point is predict_batch(), which must stay on
   /// the simulation thread.
   virtual void score_batch(const DesignMatrix& x, Verdicts& out) const;
-
-  /// Runtime legacy switch for the batched kernels. Affects every model;
-  /// reads are relaxed-atomic so flipping it between runs is safe even
-  /// while an InferenceEngine worker is idle-polling.
-  static void set_batched_inference(bool enabled);
-  static bool batched_inference();
 
   std::vector<int> predict_batch(const DesignMatrix& x) const;
 
@@ -98,10 +91,6 @@ class Classifier {
   /// Bytes of scratch memory one predict() call touches.
   virtual std::uint64_t inference_scratch_bytes() const = 0;
 
- protected:
-  /// The reference implementation every batched kernel must match bit for
-  /// bit: predict() applied to each row in order.
-  void score_rows_scalar(const DesignMatrix& x, Verdicts& out) const;
 };
 
 }  // namespace ddoshield::ml

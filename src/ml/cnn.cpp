@@ -353,11 +353,6 @@ int Cnn1D::predict(std::span<const double> row) const {
 
 void Cnn1D::score_batch(const DesignMatrix& x, Verdicts& out) const {
   if (!trained_) throw std::logic_error("Cnn1D::score_batch: not trained");
-  if (!batched_inference()) {
-    score_rows_scalar(x, out);
-    return;
-  }
-
   const std::size_t n = x.rows();
   const std::size_t d = input_dim_;
   const std::size_t f_count = config_.filters;

@@ -223,11 +223,6 @@ void KMeansDetector::rebuild_flat() {
 
 void KMeansDetector::score_batch(const DesignMatrix& x, Verdicts& out) const {
   if (centroids_.empty()) throw std::logic_error("KMeansDetector::score_batch: not trained");
-  if (!batched_inference()) {
-    score_rows_scalar(x, out);
-    return;
-  }
-
   const std::size_t n = x.rows();
   const std::size_t dims = scaler_.mean().size();
   const std::size_t k = centroids_.size();

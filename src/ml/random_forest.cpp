@@ -105,11 +105,6 @@ int RandomForest::predict(std::span<const double> row) const {
 
 void RandomForest::score_batch(const DesignMatrix& x, Verdicts& out) const {
   if (trees_.empty()) throw std::logic_error("RandomForest::score_batch: not trained");
-  if (!batched_inference()) {
-    score_rows_scalar(x, out);
-    return;
-  }
-
   const std::size_t n = x.rows();
   const std::size_t cols = x.cols();
   const double* data = x.data().data();

@@ -38,8 +38,7 @@ class RandomForest : public Classifier {
   /// Batched kernel over a flattened whole-forest node layout (SoA arrays,
   /// leaves as self-loops), walked row-block by row-block with a cmov
   /// select per hop — no virtual dispatch per tree, no pointer chase into
-  /// per-tree vectors. Bit-identical to predict() per row; falls back to
-  /// the scalar loop when set_batched_inference(false).
+  /// per-tree vectors. Bit-identical to predict() per row.
   void score_batch(const DesignMatrix& x, Verdicts& out) const override;
   /// Lifecycle retrain: replaces a deterministic rng-chosen subset of
   /// trees (refresh_fraction of the forest) with trees grown on bootstrap

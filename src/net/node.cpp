@@ -12,7 +12,6 @@
 namespace ddoshield::net {
 
 namespace {
-bool g_route_cache_enabled = true;
 
 // Fibonacci multiplicative hash: star-topology addresses are dense
 // (10.0.x.y), so low-bit masking alone would collide whole subnets into a
@@ -21,9 +20,6 @@ std::size_t route_cache_slot(std::uint32_t bits) {
   return static_cast<std::size_t>((bits * 0x9e3779b1u) >> 24);
 }
 }  // namespace
-
-void Node::set_route_cache_enabled(bool on) { g_route_cache_enabled = on; }
-bool Node::route_cache_enabled() { return g_route_cache_enabled; }
 
 Node::Node(Simulator& sim, std::string name, Ipv4Address addr)
     : sim_{sim}, name_{std::move(name)}, addr_{addr} {
@@ -77,7 +73,7 @@ int Node::route_lookup_scan(Ipv4Address dst) const {
 }
 
 int Node::route_lookup(Ipv4Address dst) const {
-  if (!g_route_cache_enabled || routes_.size() < kRouteCacheMinRoutes) {
+  if (routes_.size() < kRouteCacheMinRoutes) {
     return route_lookup_scan(dst);
   }
   if (!route_cache_) {

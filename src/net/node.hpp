@@ -86,17 +86,11 @@ class Node {
   // --- routing ------------------------------------------------------------
   void add_route(Ipv4Address prefix, int prefix_len, std::size_t ifindex);
   void set_default_route(std::size_t ifindex);
-  /// Longest-prefix-match; returns -1 if no route exists.
+  /// Longest-prefix-match; returns -1 if no route exists. The router's
+  /// table holds one /32 per device, so the scan is O(devices); tables of
+  /// kRouteCacheMinRoutes or more memoise dst -> ifindex in a direct-mapped
+  /// exact-match cache with identical lookup results.
   int route_lookup(Ipv4Address dst) const;
-
-  /// Process-wide switch for the per-node exact-match route cache. The
-  /// router's table holds one /32 per device, so the longest-prefix scan is
-  /// O(devices) per forwarded packet; the cache memoises dst -> ifindex in a
-  /// direct-mapped array with identical lookup results. Default on;
-  /// bench_scale's legacy mode turns it off to reproduce the original
-  /// per-packet scan cost.
-  static void set_route_cache_enabled(bool on);
-  static bool route_cache_enabled();
 
   // --- datapath -----------------------------------------------------------
   /// Sends a packet originated at this node. Stamps uid/timestamp; the

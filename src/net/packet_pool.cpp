@@ -48,7 +48,6 @@ void PacketPool::grow_block() {
 }
 
 void PacketPool::reserve(std::size_t packets) {
-  if (bypass_) return;
   while (stats_.allocated_packets < packets) grow_block();
 }
 
@@ -57,13 +56,6 @@ Packet* PacketPool::acquire() {
   ++stats_.outstanding;
   if (stats_.outstanding > stats_.outstanding_high_water) {
     stats_.outstanding_high_water = stats_.outstanding;
-  }
-
-  if (bypass_) {
-    ++stats_.allocated_packets;
-    Slot* slot = new Slot{};
-    slot->heap_single = true;
-    return &slot->pkt;
   }
 
   if (free_list_.empty()) {
@@ -81,12 +73,6 @@ Packet* PacketPool::acquire() {
 
 void PacketPool::release(Packet* pkt) {
   Slot* slot = slot_of(pkt);
-  if (slot->heap_single) {
-    ++stats_.releases;
-    --stats_.outstanding;
-    delete slot;
-    return;
-  }
   if (slot->in_free_list) {
     std::fprintf(stderr, "PacketPool::release: double release of packet slot %p\n",
                  static_cast<void*>(pkt));
@@ -96,16 +82,6 @@ void PacketPool::release(Packet* pkt) {
   free_list_.push_back(slot);
   ++stats_.releases;
   --stats_.outstanding;
-}
-
-void PacketPool::set_bypass(bool bypass) {
-  if (bypass == bypass_) return;
-  if (stats_.outstanding != 0) {
-    std::fprintf(stderr, "PacketPool::set_bypass: %llu slots still outstanding\n",
-                 static_cast<unsigned long long>(stats_.outstanding));
-    std::abort();
-  }
-  bypass_ = bypass;
 }
 
 }  // namespace ddoshield::net

@@ -33,8 +33,8 @@ class PacketPool {
 
   struct Stats {
     std::uint64_t allocated_blocks = 0;
-    /// Fresh slots ever created. Flat after warmup in pooled mode; grows
-    /// by one per acquire in bypass mode. The bench's steady-state gate.
+    /// Fresh slots ever created. Flat after warmup: the bench's
+    /// steady-state gate.
     std::uint64_t allocated_packets = 0;
     std::uint64_t acquires = 0;
     std::uint64_t releases = 0;
@@ -51,7 +51,7 @@ class PacketPool {
 
   /// Pre-grows the pool to at least `packets` slots (whole blocks), so a
   /// run whose in-flight peak stays under that count performs zero
-  /// allocations end to end. Ignored in bypass mode.
+  /// allocations end to end.
   void reserve(std::size_t packets);
 
   /// Returns a default-initialized packet slot (app_data cleared but its
@@ -61,19 +61,12 @@ class PacketPool {
   /// Returns a slot to the free list. Aborts on double release.
   void release(Packet* pkt);
 
-  /// Bypass mode allocates/frees every packet on the heap — the pre-pool
-  /// behaviour, kept so bench_scale can measure before/after on one
-  /// binary. Only togglable while no slots are outstanding.
-  void set_bypass(bool bypass);
-  bool bypass() const { return bypass_; }
-
   const Stats& stats() const { return stats_; }
 
  private:
   struct Slot {
     Packet pkt;
     bool in_free_list = false;
-    bool heap_single = false;  // bypass-mode slot: freed on release
   };
 
   static Slot* slot_of(Packet* pkt);
@@ -82,7 +75,6 @@ class PacketPool {
 
   std::vector<std::unique_ptr<Slot[]>> blocks_;
   std::vector<Slot*> free_list_;
-  bool bypass_ = false;
   Stats stats_;
 };
 

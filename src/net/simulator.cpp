@@ -8,18 +8,8 @@
 
 namespace ddoshield::net {
 
-namespace {
-SchedulerKind g_default_scheduler = SchedulerKind::kCalendar;
-}  // namespace
-
-SchedulerKind Simulator::default_scheduler() { return g_default_scheduler; }
-
-void Simulator::set_default_scheduler(SchedulerKind kind) { g_default_scheduler = kind; }
-
-Simulator::Simulator(SchedulerKind kind) : kind_{kind} {
-  if (kind_ == SchedulerKind::kCalendar) {
-    calendar_.buckets.resize(kBuckets);
-  }
+Simulator::Simulator() {
+  calendar_.buckets.resize(kBuckets);
   auto& reg = obs::MetricsRegistry::global();
   m_scheduled_ = &reg.counter("net.sim.events_scheduled");
   m_executed_ = &reg.counter("net.sim.events_executed");
@@ -94,24 +84,6 @@ void Simulator::post_at(util::SimTime when, Callback fn) {
 }
 
 void Simulator::insert(Event ev) {
-  if (alloc_compat_) {
-    // Reproduce the seed's allocation profile: one token per event plus a
-    // heap-boxed closure (what std::function did for any capture beyond
-    // its small-buffer size).
-    if (!ev.cancelled) ev.cancelled = std::make_shared<bool>(false);
-    auto boxed = std::make_shared<Callback>(std::move(ev.fn));
-    ev.fn = [boxed] { (*boxed)(); };
-  }
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_push(heap_, std::move(ev));
-  } else {
-    insert_calendar(std::move(ev));
-  }
-  ++pending_;
-  if (pending_ > queue_high_water_) queue_high_water_ = pending_;
-}
-
-void Simulator::insert_calendar(Event ev) {
   CalendarState& cal = calendar_;
   if (cal.buffered == 0 && cal.overflow.empty()) {
     // Idle wheel: re-anchor the window at the clock so the whole span
@@ -129,6 +101,8 @@ void Simulator::insert_calendar(Event ev) {
   } else {
     heap_push(cal.overflow, std::move(ev));
   }
+  ++pending_;
+  if (pending_ > queue_high_water_) queue_high_water_ = pending_;
 }
 
 void Simulator::migrate_overflow() {
@@ -146,7 +120,6 @@ void Simulator::migrate_overflow() {
 }
 
 util::SimTime Simulator::next_when() {
-  if (kind_ == SchedulerKind::kBinaryHeap) return heap_.front().when;
   CalendarState& cal = calendar_;
   if (cal.buffered == 0) return cal.overflow.front().when;
   // Walk the hint forward past drained days. Amortized O(1): the hint only
@@ -171,7 +144,6 @@ void Simulator::run_all() {
 }
 
 void Simulator::clear() {
-  heap_.clear();
   for (EventHeap& bucket : calendar_.buckets) bucket.clear();
   calendar_.overflow.clear();
   calendar_.buffered = 0;
@@ -179,26 +151,21 @@ void Simulator::clear() {
 }
 
 void Simulator::execute_next() {
-  Event ev;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    ev = heap_pop(heap_);
-  } else {
-    CalendarState& cal = calendar_;
-    if (cal.buffered == 0) {
-      // Every bucket drained and only far-future events remain: fast-
-      // forward the wheel window to the spillover's earliest day and pull
-      // everything that now fits back onto the wheel.
-      cal.base_day = day_of(cal.overflow.front().when);
-      cal.hint_day = cal.base_day;
-      ++cal.rollovers;
-      migrate_overflow();
-    }
-    while (cal.buckets[static_cast<std::size_t>(cal.hint_day) & (kBuckets - 1)].empty()) {
-      ++cal.hint_day;
-    }
-    ev = heap_pop(cal.buckets[static_cast<std::size_t>(cal.hint_day) & (kBuckets - 1)]);
-    --cal.buffered;
+  CalendarState& cal = calendar_;
+  if (cal.buffered == 0) {
+    // Every bucket drained and only far-future events remain: fast-
+    // forward the wheel window to the spillover's earliest day and pull
+    // everything that now fits back onto the wheel.
+    cal.base_day = day_of(cal.overflow.front().when);
+    cal.hint_day = cal.base_day;
+    ++cal.rollovers;
+    migrate_overflow();
   }
+  while (cal.buckets[static_cast<std::size_t>(cal.hint_day) & (kBuckets - 1)].empty()) {
+    ++cal.hint_day;
+  }
+  Event ev = heap_pop(cal.buckets[static_cast<std::size_t>(cal.hint_day) & (kBuckets - 1)]);
+  --cal.buffered;
   --pending_;
 
   if (ev.when < now_) ++time_regressions_;

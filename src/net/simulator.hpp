@@ -6,19 +6,15 @@
 // deterministic. Events can be cancelled through the returned handle —
 // used heavily by TCP retransmission timers and churn schedules.
 //
-// Two interchangeable queue backends sit behind the same API:
-//
-//   * kCalendar (default) — a calendar queue: a wheel of "day" buckets,
-//     each a small binary heap, covering a sliding window of simulated
-//     time, with a spillover heap for events beyond the window. Near-term
-//     events (link deliveries, app ticks — the bulk of the load) pay
-//     O(log bucket_size) with bucket_size a few dozen, instead of
-//     O(log total_pending) against hundreds of thousands of pending
-//     events under flood.
-//   * kBinaryHeap — the original single std::priority_queue, kept so the
-//     testkit can replay one seed on both backends and assert
-//     byte-identical event logs (both pop in exact (when, seq) order, so
-//     execution is provably identical; the test pins it anyway).
+// The queue is a calendar queue: a wheel of "day" buckets, each a small
+// binary heap, covering a sliding window of simulated time, with a
+// spillover heap for events beyond the window. Near-term events (link
+// deliveries, app ticks — the bulk of the load) pay O(log bucket_size)
+// with bucket_size a few dozen, instead of O(log total_pending) against
+// hundreds of thousands of pending events under flood. Every pop takes the
+// global (when, seq) minimum, so the order is exactly that of a single
+// binary heap keyed on (when, seq); tests/net_sim_test.cpp checks it
+// against such a reference queue.
 //
 // Event closures are stored in SmallFn inline buffers and hot-path
 // callers use post()/post_at() (no cancellation token), so steady-state
@@ -28,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "net/packet_pool.hpp"
@@ -43,8 +38,6 @@ class Gauge;
 namespace ddoshield::net {
 
 class Simulator;
-
-enum class SchedulerKind { kCalendar, kBinaryHeap };
 
 /// Cancellation handle for a scheduled event. Copyable; cancelling twice
 /// or cancelling after the event ran is a harmless no-op.
@@ -66,17 +59,10 @@ class Simulator {
   /// Event closures up to this capture size run allocation-free.
   using Callback = util::SmallFn<void(), 64>;
 
-  explicit Simulator(SchedulerKind kind = default_scheduler());
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Process-wide default backend for simulators constructed without an
-  /// explicit kind (Network, Testbed). The testkit's scheduler-equivalence
-  /// test flips this around whole pipeline runs.
-  static SchedulerKind default_scheduler();
-  static void set_default_scheduler(SchedulerKind kind);
-  SchedulerKind scheduler_kind() const { return kind_; }
 
   util::SimTime now() const { return now_; }
 
@@ -131,14 +117,6 @@ class Simulator {
   std::size_t calendar_bucket_high_water() const { return calendar_.bucket_high_water; }
   /// Events currently in the spillover heap (beyond the wheel's window).
   std::size_t calendar_overflow_pending() const { return calendar_.overflow.size(); }
-
-  /// Restores the seed implementation's per-event allocation profile:
-  /// every insert boxes its closure on the heap (the std::function
-  /// behaviour) and allocates a cancellation token even for post()ed
-  /// events. Execution order is unchanged — this is the "legacy" cost
-  /// model bench_scale's before/after comparison measures against.
-  void set_alloc_compat(bool on) { alloc_compat_ = on; }
-  bool alloc_compat() const { return alloc_compat_; }
 
   /// Hands out uids unique within this simulator (offset by the uid base).
   std::uint64_t next_packet_uid() { return packet_uid_base_ + ++packet_uid_; }
@@ -197,7 +175,6 @@ class Simulator {
   static Event heap_pop(EventHeap& heap);
 
   void insert(Event ev);
-  void insert_calendar(Event ev);
   /// Promotes spillover events now inside the wheel window into buckets.
   void migrate_overflow();
   /// Minimum pending event's timestamp; pending_ must be non-zero.
@@ -205,10 +182,7 @@ class Simulator {
   void execute_next();
   void flush_stats();
 
-  SchedulerKind kind_;
-  bool alloc_compat_ = false;
   util::SimTime now_;
-  EventHeap heap_;  // kBinaryHeap backend
   CalendarState calendar_;
   std::size_t pending_ = 0;
   std::uint64_t next_seq_ = 0;

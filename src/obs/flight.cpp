@@ -181,8 +181,7 @@ void FlightRecorder::write_dump(std::ostream& out, std::string_view reason) cons
         << ", \"arg\": " << e.arg << "}";
   }
   out << "\n  ],\n  \"metrics\": ";
-  write_json_snapshot(MetricsRegistry::global(), out, SnapshotVersion::kV2,
-                      &LatencyTracker::global());
+  write_json_snapshot(MetricsRegistry::global(), out, &LatencyTracker::global());
   out << "}\n";
 }
 

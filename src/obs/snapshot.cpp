@@ -189,10 +189,8 @@ bool expect_key(Scanner& s, std::string_view key) {
 }  // namespace
 
 void write_json_snapshot(const MetricsRegistry& registry, std::ostream& out,
-                         SnapshotVersion version, const LatencyTracker* latency) {
-  const bool v2 = version == SnapshotVersion::kV2;
-  out << "{\n  \"schema\": \"" << (v2 ? kSchemaV2 : kSchemaV1)
-      << "\",\n  \"counters\": {";
+                         const LatencyTracker* latency) {
+  out << "{\n  \"schema\": \"" << kSchemaV2 << "\",\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : registry.counters()) {
     out << (first ? "\n    " : ",\n    ");
@@ -219,12 +217,8 @@ void write_json_snapshot(const MetricsRegistry& registry, std::ostream& out,
     first = false;
     write_name(out, name);
     out << ": ";
-    write_hist_body(out, h.count(), h.sum(), h.min(), h.max(), h.mean(), h.p50(),
-                    h.p90(), h.p99(), v2, h.p999());
-  }
-  if (!v2) {
-    out << "\n  }\n}\n";
-    return;
+    write_hist_body(out, h.count(), h.sum(), h.min(), h.max(), h.mean(), h.p50(), h.p90(), h.p99(),
+                    /*with_p999=*/true, h.p999());
   }
   out << "\n  },\n  \"latency\": {";
   first = true;
@@ -242,10 +236,10 @@ void write_json_snapshot(const MetricsRegistry& registry, std::ostream& out,
 }
 
 bool write_json_snapshot_file(const MetricsRegistry& registry, const std::string& path,
-                              SnapshotVersion version, const LatencyTracker* latency) {
+                              const LatencyTracker* latency) {
   std::ofstream out{path};
   if (!out) return false;
-  write_json_snapshot(registry, out, version, latency);
+  write_json_snapshot(registry, out, latency);
   return out.good();
 }
 

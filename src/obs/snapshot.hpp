@@ -2,10 +2,13 @@
 //
 // Two schema generations (DESIGN.md §11 documents the migration):
 //   v1 ("ddoshield-metrics-v1") — counters / gauges / histograms, with
-//     p50/p90/p99 per histogram. The PR-1 goldens pin these bytes.
+//     p50/p90/p99 per histogram. Read-only: the reader accepts it and the
+//     SnapshotData writer re-serializes it, so old v1 files (and the
+//     committed v1 golden) round-trip byte for byte.
 //   v2 ("ddoshield-metrics-v2") — v1 plus a "p999" field per histogram and
 //     a "latency" section carrying the flight-recorder LatencyTracker
 //     series (log-linear histograms with interpolated p50/p90/p99/p999).
+//     Every registry snapshot is written in this schema.
 //
 //   {
 //     "schema": "ddoshield-metrics-v2",
@@ -18,8 +21,7 @@
 //   }
 // Names are emitted sorted, so two snapshots of the same run diff cleanly.
 // read_json_snapshot() accepts both generations, and rewriting what it
-// read reproduces the input byte-for-byte (%.17g doubles round-trip), so
-// v2-era tooling can ingest and regenerate v1 goldens unchanged.
+// read reproduces the input byte-for-byte (%.17g doubles round-trip).
 #pragma once
 
 #include <cstdint>
@@ -33,21 +35,14 @@ namespace ddoshield::obs {
 
 class LatencyTracker;
 
-enum class SnapshotVersion {
-  kV1,  // legacy golden format: no p999, no latency section
-  kV2,  // current: p999 per histogram + latency section
-};
-
-/// Writes the registry as JSON. With kV2 and a non-null `latency`, the
+/// Writes the registry as v2 JSON. With a non-null `latency`, the
 /// tracker's series are emitted in the "latency" section; a null tracker
 /// emits an empty section (the schema is stable either way).
 void write_json_snapshot(const MetricsRegistry& registry, std::ostream& out,
-                         SnapshotVersion version = SnapshotVersion::kV2,
                          const LatencyTracker* latency = nullptr);
 
 /// Convenience file form. Returns false if the file cannot be opened.
 bool write_json_snapshot_file(const MetricsRegistry& registry, const std::string& path,
-                              SnapshotVersion version = SnapshotVersion::kV2,
                               const LatencyTracker* latency = nullptr);
 
 // --- parsed snapshot --------------------------------------------------------

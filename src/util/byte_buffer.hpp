@@ -72,7 +72,7 @@ class ByteReader {
 
   std::vector<double> get_f64_vector() {
     const auto n = get_u64();
-    check(n * sizeof(double));
+    check(n, sizeof(double));
     std::vector<double> v(n);
     std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
@@ -100,8 +100,11 @@ class ByteReader {
     pos_ += sizeof(T);
     return v;
   }
-  void check(std::size_t n) const {
-    if (pos_ + n > data_.size()) throw std::out_of_range("ByteReader: truncated input");
+  /// Throws unless `count` elements of `size` bytes remain. Compares
+  /// against the remaining bytes before any arithmetic on `count`, so a
+  /// hostile length prefix cannot wrap past the bound.
+  void check(std::uint64_t count, std::size_t size = 1) const {
+    if (count > remaining() / size) throw std::out_of_range("ByteReader: truncated input");
   }
 
   std::span<const std::uint8_t> data_;

@@ -1,13 +1,17 @@
 // Tests for the feature schema, per-window statistics, and the aggregator.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "capture/dataset.hpp"
 #include "features/extractor.hpp"
 #include "features/schema.hpp"
 #include "features/window_stats.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace ddoshield::features {
 namespace {
@@ -175,6 +179,63 @@ TEST(WindowStatsTest, ShortLivedFlowsCountsSmallFlows) {
   EXPECT_DOUBLE_EQ(stats.short_lived_flows, 3.0);
 }
 
+// The original tree-map window statistics: the reference the production
+// fold (open-addressing FlatTables, key-sorted entropy sums) must match bit
+// for bit.
+WindowStats compute_with_maps(std::span<const PacketRecord> packets, SimTime window_duration) {
+  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint16_t, std::uint16_t, std::uint8_t>,
+           std::uint32_t>
+      flow_packets;
+  std::map<std::tuple<std::uint32_t, std::uint16_t>, std::uint32_t> syn_per_src_dport;
+  util::FrequencyCounter dst_ports;
+  util::FrequencyCounter src_addrs;
+  util::OnlineStats seq_stats;
+  util::OnlineStats payload_stats;
+  std::uint64_t total_bytes = 0;
+  std::uint64_t tcp_packets = 0;
+  std::uint64_t udp_packets = 0;
+  std::uint64_t syn_no_ack = 0;
+
+  for (const auto& r : packets) {
+    total_bytes += r.wire_bytes;
+    dst_ports.add(r.dst_port);
+    src_addrs.add(r.src_addr);
+    payload_stats.add(static_cast<double>(r.payload_bytes));
+    ++flow_packets[{r.src_addr, r.dst_addr, r.src_port, r.dst_port, r.protocol}];
+    if (r.is_tcp()) {
+      ++tcp_packets;
+      seq_stats.add(static_cast<double>(r.seq));
+      if (r.has_flag(net::TcpFlags::kSyn) && !r.has_flag(net::TcpFlags::kAck)) {
+        ++syn_no_ack;
+        ++syn_per_src_dport[{r.src_addr, r.dst_port}];
+      }
+    } else if (r.is_udp()) {
+      ++udp_packets;
+    }
+  }
+
+  std::uint64_t short_lived = 0;
+  for (const auto& [key, count] : flow_packets) short_lived += count <= 2;
+  std::uint64_t repeated = 0;
+  for (const auto& [key, syns] : syn_per_src_dport) repeated += syns >= 3;
+
+  WindowStats stats;
+  stats.packet_count = packets.size();
+  stats.byte_rate = static_cast<double>(total_bytes) / window_duration.to_seconds();
+  stats.dst_port_entropy = dst_ports.entropy();
+  stats.src_addr_entropy = src_addrs.entropy();
+  stats.syn_no_ack_ratio =
+      tcp_packets == 0 ? 0.0 : static_cast<double>(syn_no_ack) / static_cast<double>(tcp_packets);
+  stats.short_lived_flows = static_cast<double>(short_lived);
+  stats.repeated_attempts = static_cast<double>(repeated);
+  stats.seq_variance_log = std::log10(1.0 + seq_stats.variance());
+  stats.mean_payload = payload_stats.mean();
+  stats.udp_fraction = packets.empty()
+                           ? 0.0
+                           : static_cast<double>(udp_packets) / static_cast<double>(packets.size());
+  return stats;
+}
+
 TEST(WindowStatsTest, ReferenceCountersMatchFlatCountersBitForBit) {
   // A mixed window exercising every counter: repeated flows, one-packet
   // flows, bare SYNs (some past the repeated-attempts threshold), UDP with
@@ -196,11 +257,8 @@ TEST(WindowStatsTest, ReferenceCountersMatchFlatCountersBitForBit) {
     }
   }
 
-  ASSERT_FALSE(reference_window_counters());
   const WindowStats flat = compute_window_stats(packets, SimTime::seconds(1));
-  set_reference_window_counters(true);
-  const WindowStats reference = compute_window_stats(packets, SimTime::seconds(1));
-  set_reference_window_counters(false);
+  const WindowStats reference = compute_with_maps(packets, SimTime::seconds(1));
 
   // The flat counters sort before summing entropy precisely so the two
   // implementations agree bit for bit, not just within a tolerance.

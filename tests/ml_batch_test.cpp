@@ -66,21 +66,15 @@ DesignMatrix make_fuzz_matrix(std::size_t n, Rng& rng) {
   return x;
 }
 
-/// score_batch (batched) vs per-row predict() vs score_batch with the
-/// legacy scalar kernel: all three must agree verdict-for-verdict.
+/// score_batch (batched) vs per-row predict(), the scalar oracle: they
+/// must agree verdict-for-verdict.
 void expect_batch_matches_scalar(const Classifier& model, const DesignMatrix& x) {
   Verdicts batched;
   model.score_batch(x, batched);
   ASSERT_EQ(batched.size(), x.rows());
 
-  model.set_batched_inference(false);
-  Verdicts legacy;
-  model.score_batch(x, legacy);
-  model.set_batched_inference(true);
-
   for (std::size_t i = 0; i < x.rows(); ++i) {
     ASSERT_EQ(batched[i], model.predict(x.row(i))) << model.name() << " row " << i;
-    ASSERT_EQ(batched[i], legacy[i]) << model.name() << " legacy row " << i;
   }
 }
 

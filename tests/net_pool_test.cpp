@@ -1,5 +1,5 @@
 // Tests for the free-list PacketPool: slot reuse, block-at-a-time growth
-// under exhaustion, payload-arena capacity retention, bypass mode, and the
+// under exhaustion, payload-arena capacity retention, and the
 // double-release abort.
 #include <gtest/gtest.h>
 
@@ -124,38 +124,12 @@ TEST(PacketPoolTest, ExhaustionGrowsBlockAtATime) {
   EXPECT_EQ(pool.stats().allocated_blocks, 2u);
 }
 
-TEST(PacketPoolTest, BypassModeAllocatesPerPacket) {
-  PacketPool pool;
-  pool.set_bypass(true);
-  EXPECT_TRUE(pool.bypass());
-  Packet* a = pool.acquire();
-  Packet* b = pool.acquire();
-  EXPECT_EQ(pool.stats().allocated_packets, 2u);
-  EXPECT_EQ(pool.stats().allocated_blocks, 0u);
-  pool.release(a);
-  pool.release(b);
-  // Every bypass acquire is a fresh allocation — no reuse accounting.
-  Packet* c = pool.acquire();
-  EXPECT_EQ(pool.stats().allocated_packets, 3u);
-  EXPECT_EQ(pool.stats().reuses, 0u);
-  pool.release(c);
-  pool.set_bypass(false);
-  EXPECT_FALSE(pool.bypass());
-}
-
 #if GTEST_HAS_DEATH_TEST
 TEST(PacketPoolDeathTest, DoubleReleaseAborts) {
   PacketPool pool;
   Packet* p = pool.acquire();
   pool.release(p);
   EXPECT_DEATH(pool.release(p), "double release");
-}
-
-TEST(PacketPoolDeathTest, BypassToggleWithOutstandingSlotsAborts) {
-  PacketPool pool;
-  Packet* p = pool.acquire();
-  EXPECT_DEATH(pool.set_bypass(true), "outstanding");
-  pool.release(p);
 }
 #endif
 

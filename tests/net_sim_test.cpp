@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <set>
 #include <vector>
 
 #include "net/address.hpp"
@@ -9,6 +12,7 @@
 #include "net/packet.hpp"
 #include "net/simulator.hpp"
 #include "net/udp.hpp"
+#include "util/rng.hpp"
 
 namespace ddoshield::net {
 namespace {
@@ -125,33 +129,192 @@ TEST(SimulatorTest, CountsExecutedEvents) {
 }
 
 // --------------------------------------------------------------------------
-// Calendar-queue backend (the default scheduler)
+// Calendar-queue scheduler
 // --------------------------------------------------------------------------
 
-// Identical interleavings on both backends, including mixed bucket/spill
-// horizons and same-timestamp FIFO ties.
+// The order the calendar queue must reproduce, by definition: one binary
+// heap keyed on (when, insertion seq), popping cancelled events without
+// running them. Same surface as QueueUnderTest so one driver runs both.
+class ReferenceQueue {
+ public:
+  SimTime now() const { return now_; }
+  std::size_t schedule(SimTime delay, std::function<void()> fn) {
+    const std::uint64_t seq = push(now_ + delay, std::move(fn));
+    return static_cast<std::size_t>(seq);
+  }
+  void post(SimTime delay, std::function<void()> fn) { push(now_ + delay, std::move(fn)); }
+  void post_at(SimTime when, std::function<void()> fn) { push(when, std::move(fn)); }
+  void cancel(std::size_t token) { cancelled_.insert(token); }
+  void clear() { queue_ = {}; }
+  void run_until(SimTime until) {
+    while (!queue_.empty() && queue_.top().when <= until) {
+      const Entry e = queue_.top();
+      queue_.pop();
+      now_ = e.when;
+      if (cancelled_.count(e.seq) == 0) e.fn();
+    }
+    if (now_ < until) now_ = until;
+  }
+
+ private:
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq = 0;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+  std::uint64_t push(SimTime when, std::function<void()> fn) {
+    queue_.push(Entry{when, next_seq_, std::move(fn)});
+    return next_seq_++;
+  }
+
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::set<std::size_t> cancelled_;
+  SimTime now_;
+  std::uint64_t next_seq_ = 0;
+};
+
+// The Simulator behind the ReferenceQueue surface; cancellation tokens
+// index the returned handles.
+struct QueueUnderTest {
+  Simulator sim;
+  std::vector<EventHandle> handles;
+
+  SimTime now() const { return sim.now(); }
+  std::size_t schedule(SimTime delay, std::function<void()> fn) {
+    handles.push_back(sim.schedule(delay, std::move(fn)));
+    return handles.size() - 1;
+  }
+  void post(SimTime delay, std::function<void()> fn) { sim.post(delay, std::move(fn)); }
+  void post_at(SimTime when, std::function<void()> fn) { sim.post_at(when, std::move(fn)); }
+  void cancel(std::size_t token) { handles[token].cancel(); }
+  void clear() { sim.clear(); }
+  void run_until(SimTime until) { sim.run_until(until); }
+};
+
+struct Fired {
+  std::uint64_t id = 0;
+  std::int64_t at_ns = 0;
+  bool operator==(const Fired&) const = default;
+};
+
+// Identical interleavings on the calendar queue and the reference heap,
+// including mixed bucket/spill horizons and same-timestamp FIFO ties.
 TEST(CalendarQueueTest, OrderMatchesBinaryHeapAcrossHorizons) {
   const std::vector<std::int64_t> delays_us = {
       500,        300,        300,       7'000'000,  12,         999'999,   5'000'000'000,
       4'095'999,  4'096'000,  4'097'000, 80'000'000, 80'000'000, 1,         0,
       33'000'000, 64'000'000, 2'500,     2'500,      2'500,      123'456'789};
-  auto run = [&](SchedulerKind kind) {
-    Simulator sim{kind};
-    std::vector<std::size_t> order;
+  auto run = [&](auto& queue) {
+    std::vector<Fired> fired;
     for (std::size_t i = 0; i < delays_us.size(); ++i) {
-      sim.schedule(SimTime::micros(delays_us[i]), [&order, i] { order.push_back(i); });
+      queue.schedule(SimTime::micros(delays_us[i]), [&fired, &queue, i] {
+        fired.push_back({i, queue.now().ns()});
+      });
     }
-    sim.run_all();
-    return order;
+    queue.run_until(SimTime::seconds(10'000));
+    return fired;
   };
-  const auto calendar = run(SchedulerKind::kCalendar);
-  const auto heap = run(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(calendar, heap);
-  EXPECT_EQ(calendar.size(), delays_us.size());
+  QueueUnderTest calendar;
+  ReferenceQueue reference;
+  const auto got = run(calendar);
+  EXPECT_EQ(got, run(reference));
+  EXPECT_EQ(got.size(), delays_us.size());
+}
+
+// Seeded random mix of schedule/post/post_at, cancellations, equal-time
+// ties, callbacks that schedule further events, horizons past the ~4.1 s
+// wheel, and clear(). Callbacks draw from the RNG too, so the two queues
+// see the same operations exactly as long as they run the same events in
+// the same order.
+template <typename Queue>
+std::vector<Fired> run_random_ops(Queue& queue, std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<Fired> fired;
+  std::vector<std::size_t> tokens;
+  std::uint64_t next_id = 0;
+
+  auto delay = [&rng]() {
+    switch (rng.uniform_u64(5)) {
+      case 0:  // a few exact instants: many equal-time ties
+        return SimTime::micros(500 * static_cast<std::int64_t>(rng.uniform_u64(4)));
+      case 1:
+        return SimTime::micros(static_cast<std::int64_t>(rng.uniform_u64(50'000)));
+      case 2:  // straddles the wheel's end
+        return SimTime::millis(static_cast<std::int64_t>(rng.uniform_u64(4'200)));
+      case 3:  // whole wheel spans apart: same bucket, different days
+        return SimTime::millis(4'096 * static_cast<std::int64_t>(1 + rng.uniform_u64(3)));
+      default:  // spillover heap, wheel rollover and migration
+        return SimTime::millis(4'000 + static_cast<std::int64_t>(rng.uniform_u64(60'000)));
+    }
+  };
+  std::function<void(int)> add = [&](int depth) {
+    const std::uint64_t id = next_id++;
+    auto fn = [&, id, depth] {
+      fired.push_back({id, queue.now().ns()});
+      if (!tokens.empty() && rng.bernoulli(0.1)) {
+        queue.cancel(tokens[rng.uniform_u64(tokens.size())]);
+      }
+      if (depth < 3) {
+        for (std::uint64_t k = rng.uniform_u64(3); k > 0; --k) add(depth + 1);
+      }
+    };
+    switch (rng.uniform_u64(3)) {
+      case 0:
+        tokens.push_back(queue.schedule(delay(), std::move(fn)));
+        break;
+      case 1:
+        queue.post(delay(), std::move(fn));
+        break;
+      default: {
+        // Absolute times on the 1 ms grid collide with events of every
+        // insertion kind.
+        const std::int64_t next_ms = queue.now().ns() / 1'000'000 + 1;
+        const auto ms = next_ms + static_cast<std::int64_t>(rng.uniform_u64(8));
+        queue.post_at(SimTime::millis(ms), std::move(fn));
+        break;
+      }
+    }
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.uniform_u64(100);
+    if (op < 55) {
+      add(0);
+    } else if (op < 70) {
+      if (!tokens.empty()) queue.cancel(tokens[rng.uniform_u64(tokens.size())]);
+    } else if (op < 99) {
+      queue.run_until(queue.now() + delay());
+    } else {
+      queue.clear();
+    }
+  }
+  queue.run_until(queue.now() + SimTime::seconds(1'000));
+  return fired;
+}
+
+TEST(CalendarQueueTest, RandomizedOpsMatchReferenceQueue) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    QueueUnderTest calendar;
+    ReferenceQueue reference;
+    const std::vector<Fired> got = run_random_ops(calendar, seed);
+    const std::vector<Fired> want = run_random_ops(reference, seed);
+    ASSERT_GT(want.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(calendar.sim.events_pending(), 0u);
+    EXPECT_EQ(calendar.sim.time_regressions(), 0u);
+    EXPECT_GT(calendar.sim.events_cancelled(), 0u) << "seed " << seed;
+    EXPECT_GT(calendar.sim.calendar_rollovers(), 0u) << "seed " << seed;
+    EXPECT_GT(calendar.sim.calendar_migrations(), 0u) << "seed " << seed;
+  }
 }
 
 TEST(CalendarQueueTest, FarFutureEventsSpillOverAndMigrateBack) {
-  Simulator sim{SchedulerKind::kCalendar};
+  Simulator sim;
   // The wheel covers ~4.1 s; a 60 s timer must sit in the spillover heap
   // until the wheel fast-forwards to it.
   int ran = 0;
@@ -167,7 +330,7 @@ TEST(CalendarQueueTest, FarFutureEventsSpillOverAndMigrateBack) {
 }
 
 TEST(CalendarQueueTest, CancellationWorksInBucketsAndOverflow) {
-  Simulator sim{SchedulerKind::kCalendar};
+  Simulator sim;
   bool near_ran = false;
   bool far_ran = false;
   auto near = sim.schedule(SimTime::millis(2), [&] { near_ran = true; });
@@ -191,22 +354,22 @@ TEST(CalendarQueueTest, PostedEventsRunWithoutHandles) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(CalendarQueueTest, HighWaterAndPendingTrackBothBackends) {
-  for (SchedulerKind kind : {SchedulerKind::kCalendar, SchedulerKind::kBinaryHeap}) {
-    Simulator sim{kind};
-    for (int i = 0; i < 32; ++i) sim.schedule(SimTime::millis(1 + i % 3), [] {});
-    EXPECT_EQ(sim.pending_events(), 32u);
-    EXPECT_EQ(sim.queue_high_water(), 32u);
-    sim.run_all();
-    EXPECT_EQ(sim.pending_events(), 0u);
-    EXPECT_EQ(sim.queue_high_water(), 32u);
-    EXPECT_EQ(sim.events_executed(), 32u);
-    EXPECT_EQ(sim.time_regressions(), 0u);
-  }
+TEST(CalendarQueueTest, HighWaterAndPendingTrackWheelAndSpillover) {
+  Simulator sim;
+  for (int i = 0; i < 32; ++i) sim.schedule(SimTime::millis(1 + i % 3), [] {});
+  for (int i = 0; i < 8; ++i) sim.post(SimTime::seconds(10 + i), [] {});
+  EXPECT_EQ(sim.calendar_overflow_pending(), 8u);
+  EXPECT_EQ(sim.pending_events(), 40u);
+  EXPECT_EQ(sim.queue_high_water(), 40u);
+  sim.run_all();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.queue_high_water(), 40u);
+  EXPECT_EQ(sim.events_executed(), 40u);
+  EXPECT_EQ(sim.time_regressions(), 0u);
 }
 
 TEST(CalendarQueueTest, ClearDropsBucketAndOverflowEvents) {
-  Simulator sim{SchedulerKind::kCalendar};
+  Simulator sim;
   int ran = 0;
   sim.schedule(SimTime::millis(1), [&] { ++ran; });
   sim.schedule(SimTime::seconds(20), [&] { ++ran; });
@@ -214,16 +377,6 @@ TEST(CalendarQueueTest, ClearDropsBucketAndOverflowEvents) {
   EXPECT_EQ(sim.events_pending(), 0u);
   sim.run_all();
   EXPECT_EQ(ran, 0);
-}
-
-TEST(CalendarQueueTest, DefaultSchedulerIsProcessWide) {
-  EXPECT_EQ(Simulator::default_scheduler(), SchedulerKind::kCalendar);
-  Simulator::set_default_scheduler(SchedulerKind::kBinaryHeap);
-  Simulator heap_sim;
-  EXPECT_EQ(heap_sim.scheduler_kind(), SchedulerKind::kBinaryHeap);
-  Simulator::set_default_scheduler(SchedulerKind::kCalendar);
-  Simulator cal_sim;
-  EXPECT_EQ(cal_sim.scheduler_kind(), SchedulerKind::kCalendar);
 }
 
 // --------------------------------------------------------------------------
@@ -402,25 +555,31 @@ TEST(StarTopologyTest, RouteCacheMatchesLinearScanAndInvalidates) {
   // Enough devices that the router's table crosses the cache threshold.
   Network net;
   StarTopology topo = build_star_topology(net, StarTopologyConfig{.device_count = 12});
-  ASSERT_TRUE(Node::route_cache_enabled());
+  Node& router = *topo.router;
 
+  // Reference lookup: the star router's routes lead each host's address to
+  // the interface whose link reaches that host, and nothing else anywhere.
+  auto reference = [&router](Ipv4Address dst) {
+    for (std::size_t i = 0; i < router.interface_count(); ++i) {
+      if (router.link_at(i).peer_of(router).address() == dst) return static_cast<int>(i);
+    }
+    return -1;
+  };
   std::vector<Ipv4Address> dsts{topo.tserver->address(), topo.attacker->address()};
   for (Node* dev : topo.devices) dsts.push_back(dev->address());
-  dsts.push_back(Ipv4Address{192, 168, 9, 9});  // no route: default or -1
+  dsts.push_back(Ipv4Address{192, 168, 9, 9});  // no route: -1
 
-  // Cached and scan results must agree for every destination — twice, so
-  // the second pass reads populated cache slots.
+  // Cached lookups must match the reference for every destination — twice,
+  // so the second pass reads populated cache slots.
   std::vector<int> cached;
+  std::vector<int> expected;
   for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& dst : dsts) cached.push_back(topo.router->route_lookup(dst));
+    for (const auto& dst : dsts) {
+      cached.push_back(router.route_lookup(dst));
+      expected.push_back(reference(dst));
+    }
   }
-  Node::set_route_cache_enabled(false);
-  std::vector<int> scanned;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& dst : dsts) scanned.push_back(topo.router->route_lookup(dst));
-  }
-  Node::set_route_cache_enabled(true);
-  EXPECT_EQ(cached, scanned);
+  EXPECT_EQ(cached, expected);
 
   // Adding a route must invalidate cached entries: the previously cached
   // unknown destination now resolves through the new more-specific route.

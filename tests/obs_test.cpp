@@ -689,24 +689,56 @@ void fill_golden_fixture_registry(MetricsRegistry& reg) {
   reg.histogram("empty.histogram");
 }
 
-// Pins the exact bytes of the "ddoshield-metrics-v1" schema. The default
-// writer moved to v2, but v1 stays requestable and byte-stable — existing
-// consumers of old BENCH_*.json snapshots rely on it. If this test fails
-// because the format intentionally changed, bump the schema string and
-// regenerate the golden file from the failure output.
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/" + name;
+  std::ifstream in{path};
+  EXPECT_TRUE(in.is_open()) << "missing golden file: " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  return golden.str();
+}
+
+// The "ddoshield-metrics-v1" golden was written from this fixture when v1
+// was the writer's schema. Registries are written as v2 now; everything v1
+// carried must still read back identically from a v2 snapshot of the same
+// fixture, and the v1 bytes must still round-trip through the reader and
+// the SnapshotData writer (existing consumers of old BENCH_*.json
+// snapshots rely on both).
 TEST(SnapshotTest, MatchesGoldenFile) {
+  const std::string golden = read_golden("metrics_snapshot_v1.json");
+  SnapshotData v1;
+  std::istringstream golden_in{golden};
+  ASSERT_TRUE(read_json_snapshot(golden_in, v1));
+  EXPECT_EQ(v1.schema, "ddoshield-metrics-v1");
+  std::ostringstream rewritten;
+  write_json_snapshot(v1, rewritten);
+  EXPECT_EQ(rewritten.str(), golden);
+
   MetricsRegistry reg;
   fill_golden_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV1);
-
-  const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v1.json";
-  std::ifstream in{path};
-  ASSERT_TRUE(in.is_open()) << "missing golden file: " << path;
-  std::ostringstream golden;
-  golden << in.rdbuf();
-
-  EXPECT_EQ(os.str(), golden.str());
+  write_json_snapshot(reg, os);
+  SnapshotData v2;
+  std::istringstream v2_in{os.str()};
+  ASSERT_TRUE(read_json_snapshot(v2_in, v2));
+  EXPECT_EQ(v2.counters, v1.counters);
+  ASSERT_EQ(v2.gauges.size(), v1.gauges.size());
+  for (const auto& [name, g] : v1.gauges) {
+    EXPECT_EQ(v2.gauges.at(name).value, g.value) << name;
+    EXPECT_EQ(v2.gauges.at(name).high_water, g.high_water) << name;
+  }
+  ASSERT_EQ(v2.histograms.size(), v1.histograms.size());
+  for (const auto& [name, h] : v1.histograms) {
+    const SnapshotHistogram& got = v2.histograms.at(name);
+    EXPECT_EQ(got.count, h.count) << name;
+    EXPECT_EQ(got.sum, h.sum) << name;
+    EXPECT_EQ(got.min, h.min) << name;
+    EXPECT_EQ(got.max, h.max) << name;
+    EXPECT_EQ(got.mean, h.mean) << name;
+    EXPECT_EQ(got.p50, h.p50) << name;
+    EXPECT_EQ(got.p90, h.p90) << name;
+    EXPECT_EQ(got.p99, h.p99) << name;
+  }
 }
 
 // Same fixture, v2 writer with a latency tracker attached: pins the v2
@@ -720,7 +752,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2) {
   lat.series("flight.empty_series");
 
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2, &lat);
+  write_json_snapshot(reg, os, &lat);
 
   const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2.json";
   std::ifstream in{path};
@@ -758,7 +790,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2Lifecycle) {
   MetricsRegistry reg;
   fill_lifecycle_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2);
+  write_json_snapshot(reg, os);
 
   const std::string path =
       std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2_lifecycle.json";
@@ -792,7 +824,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2CaptureBatch) {
   MetricsRegistry reg;
   fill_capture_batch_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2);
+  write_json_snapshot(reg, os);
 
   const std::string path =
       std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2_capture.json";
@@ -884,7 +916,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2Telemetry) {
   MetricsRegistry reg;
   fill_telemetry_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2);
+  write_json_snapshot(reg, os);
 
   const std::string path =
       std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2_telemetry.json";
@@ -931,11 +963,7 @@ TEST(SnapshotTest, PreTelemetryV2SnapshotsStillRead) {
 // --------------------------------------------------------------------------
 
 TEST(SnapshotTest, ReaderRoundTripsV1Bytes) {
-  MetricsRegistry reg;
-  fill_golden_fixture_registry(reg);
-  std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV1);
-  const std::string original = os.str();
+  const std::string original = read_golden("metrics_snapshot_v1.json");
 
   SnapshotData data;
   std::istringstream in{original};
@@ -962,7 +990,7 @@ TEST(SnapshotTest, ReaderRoundTripsV2Bytes) {
   for (std::uint64_t v : {1ull, 100ull, 10000ull}) series.observe(v);
 
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2, &lat);
+  write_json_snapshot(reg, os, &lat);
   const std::string original = os.str();
 
   SnapshotData data;

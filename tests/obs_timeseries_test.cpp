@@ -412,20 +412,5 @@ TEST(ShardTimeseriesTest, AlertLogIsIdenticalAcrossShardCounts) {
   EXPECT_EQ(r2.slo_alerts, r4.slo_alerts);
 }
 
-// Concurrency surface for TSan: telemetry sampling on shard 0's hook while
-// the inference engine's worker thread scores the same windows.
-TEST(ShardTimeseriesTest, TelemetryWithOffloadedInferenceMatchesInline) {
-  testkit::ScopedTempFile fi{"ts_inl", ".ndjson"};
-  testkit::ScopedTempFile fo{"ts_off", ".ndjson"};
-  auto inline_cfg = telemetry_workload(2, fi.path());
-  auto offload_cfg = telemetry_workload(2, fo.path());
-  offload_cfg.ids.offload_inference = true;
-  const auto ri = core::run_shard_workload(inline_cfg);
-  const auto ro = core::run_shard_workload(offload_cfg);
-  EXPECT_EQ(ri.ids_verdict_digest, ro.ids_verdict_digest);
-  EXPECT_EQ(ri.ids_action_log, ro.ids_action_log);
-  EXPECT_EQ(sim_domain_lines(fi.path()), sim_domain_lines(fo.path()));
-}
-
 }  // namespace
 }  // namespace ddoshield::obs

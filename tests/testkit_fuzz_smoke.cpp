@@ -314,12 +314,12 @@ TEST(ShardFuzzRegression, NonDividingShardCountsStayEquivalent) {
 // --------------------------------------------------------------------------
 // ShardIdsFuzz: the ShardFuzz A/B matrix with the detection pipeline armed.
 //
-// Gated behind DDOSHIELD_FUZZ_IDS_SHARDED (a dedicated CI matrix leg): the
-// seeds re-run with flood devices, per-cluster egress taps, windowed
-// scoring, and verdict-driven edge mitigation, and the IDS equality
-// surface (feature-row digest, verdict digest, ActionLog bytes) must be
-// byte-identical between the single-shard baseline and shards 2 and 8 —
-// the end-to-end check behind DESIGN.md §15's determinism contract.
+// The seeds re-run with flood devices, per-cluster egress taps (each seed
+// draws its own tap batch capacity), windowed scoring, and verdict-driven
+// edge mitigation, and the IDS equality surface (feature-row digest,
+// verdict digest, ActionLog bytes) must be byte-identical between the
+// single-shard baseline and shards 2 and 8 — the end-to-end check behind
+// DESIGN.md §15's determinism contract.
 // --------------------------------------------------------------------------
 
 core::ShardWorkloadConfig shard_ids_workload_for_seed(std::uint64_t seed) {
@@ -337,10 +337,6 @@ core::ShardWorkloadConfig shard_ids_workload_for_seed(std::uint64_t seed) {
 class ShardIdsFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardIdsFuzz, DetectionIsByteIdenticalAcrossShardCounts) {
-  const char* env = std::getenv("DDOSHIELD_FUZZ_IDS_SHARDED");
-  if (env == nullptr || env[0] == '\0')
-    GTEST_SKIP() << "set DDOSHIELD_FUZZ_IDS_SHARDED=1 to run the sharded-IDS A/B";
-
   core::ShardWorkloadConfig cfg = shard_ids_workload_for_seed(GetParam());
   const core::ShardWorkloadResult baseline = core::run_shard_workload(cfg);
   ASSERT_TRUE(baseline.conservation_ok) << baseline.conservation_error;

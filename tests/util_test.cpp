@@ -327,6 +327,33 @@ TEST(ByteBufferTest, TruncatedInputThrows) {
   EXPECT_THROW(r.get_u8(), std::out_of_range);
 }
 
+// Length prefixes come from disk (model files, binary datasets): a hostile
+// count must be rejected with the documented exception before it reaches
+// any pointer arithmetic or allocation.
+TEST(ByteBufferTest, HugeVectorCountThrowsOutOfRange) {
+  ByteWriter w;
+  w.put_u64(std::uint64_t{1} << 61);  // count * sizeof(double) wraps to 0
+  w.put_f64(1.0);
+  ByteReader r{w.bytes()};
+  EXPECT_THROW(r.get_f64_vector(), std::out_of_range);
+}
+
+TEST(ByteBufferTest, WrappingByteLengthThrowsOutOfRange) {
+  ByteWriter w;
+  w.put_u64(0xFFFFFFFFFFFFFFF9ULL);  // position + length wraps past zero
+  ByteReader r{w.bytes()};
+  EXPECT_THROW(r.get_bytes(), std::out_of_range);
+}
+
+TEST(ByteBufferTest, StringLengthPastEndThrowsOutOfRange) {
+  ByteWriter w;
+  w.put_u32(100);
+  w.put_u8('a');
+  w.put_u8('b');
+  ByteReader r{w.bytes()};
+  EXPECT_THROW(r.get_string(), std::out_of_range);
+}
+
 TEST(ByteBufferTest, EmptyStringRoundTrip) {
   ByteWriter w;
   w.put_string("");
