@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #if defined(__SSE2__)
@@ -15,8 +16,15 @@ namespace ddoshield::ml {
 //   dense1_w_[h * flat + i]           — hidden unit h, flattened input i
 //   dense2_w_[c * hidden + h]         — class c, hidden unit h
 // Flattened conv output index: f * pooled_length() + p.
+//
+// Block layouts shared by score_batch() and training (`rows` rows):
+//   pooled[r * flat + i]              — row r's flattened MaxPool output
+//   zt[h * rows + r]                  — Dense(hidden) pre-activation, transposed
+//   logits[2 * r + c]                 — Dense(2) output
 
 namespace {
+
+constexpr std::size_t kTileRows = 16;  // Dense(hidden) micro-tile width (rows)
 
 /// Adam state for one parameter tensor.
 struct AdamState {
@@ -25,12 +33,98 @@ struct AdamState {
   explicit AdamState(std::size_t n) : m(n, 0.0), v(n, 0.0) {}
 };
 
+/// One Adam step from a tensor's summed batch gradient: each element's
+/// gradient is first scaled by inv_batch, then the textbook moment
+/// updates run. Two lanes per SSE2 instruction, each evaluating the
+/// scalar tail's expression tree with separate mul and add and correctly
+/// rounded sqrt and div, so every element matches the scalar loop bit for
+/// bit.
 void adam_step(std::vector<double>& params, const std::vector<double>& grads, AdamState& state,
-               const CnnConfig& cfg, double lr_t) {
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * grads[i];
-    state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * grads[i] * grads[i];
-    params[i] -= lr_t * state.m[i] / (std::sqrt(state.v[i]) + 1e-8);
+               const CnnConfig& cfg, double inv_batch, double lr_t) {
+  const double b1 = cfg.beta1, c1 = 1.0 - cfg.beta1;
+  const double b2 = cfg.beta2, c2 = 1.0 - cfg.beta2;
+  double* p = params.data();
+  const double* g = grads.data();
+  double* m = state.m.data();
+  double* v = state.v.data();
+  const std::size_t n = params.size();
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128d inv = _mm_set1_pd(inv_batch), lr = _mm_set1_pd(lr_t), eps = _mm_set1_pd(1e-8);
+  const __m128d vb1 = _mm_set1_pd(b1), vc1 = _mm_set1_pd(c1);
+  const __m128d vb2 = _mm_set1_pd(b2), vc2 = _mm_set1_pd(c2);
+  for (; i + 2 <= n; i += 2) {
+    const __m128d gi = _mm_mul_pd(_mm_loadu_pd(g + i), inv);
+    const __m128d mi = _mm_add_pd(_mm_mul_pd(vb1, _mm_loadu_pd(m + i)), _mm_mul_pd(vc1, gi));
+    const __m128d vi =
+        _mm_add_pd(_mm_mul_pd(vb2, _mm_loadu_pd(v + i)), _mm_mul_pd(_mm_mul_pd(vc2, gi), gi));
+    _mm_storeu_pd(m + i, mi);
+    _mm_storeu_pd(v + i, vi);
+    const __m128d step = _mm_div_pd(_mm_mul_pd(lr, mi), _mm_add_pd(_mm_sqrt_pd(vi), eps));
+    _mm_storeu_pd(p + i, _mm_sub_pd(_mm_loadu_pd(p + i), step));
+  }
+#endif
+  for (; i < n; ++i) {
+    const double gi = g[i] * inv_batch;
+    m[i] = b1 * m[i] + c1 * gi;
+    v[i] = b2 * v[i] + c2 * gi * gi;
+    p[i] -= lr_t * m[i] / (std::sqrt(v[i]) + 1e-8);
+  }
+}
+
+/// Gradient of Dense(hidden) for one hidden unit over a batch, restricted
+/// to the rows whose ReLU gate is open (`active`, ascending, with their
+/// back-propagated gradients `dz`):
+///   g[i]           = Σ_a dz[a] · pooled[active[a]][i]   (rows ascending)
+///   d_pooled[r][i] += dz[a] · w[i]                       (one unit's term)
+/// Called for the units in ascending order, so each d_pooled element sums
+/// its units in ascending order too. The columns run in register-blocked
+/// chunks of 12 (the production flat size is 72), then one at a time; a
+/// chunk keeps its weights and its 12 gradient accumulators in registers
+/// for the whole row sweep, which GCC's -O2 vectorizer does not do for
+/// the plain loops.
+void dense1_unit_grad(const double* w, const double* pooled, std::size_t flat,
+                      const std::uint32_t* active, const double* dz, std::size_t n_active,
+                      double* g, double* d_pooled) {
+  std::size_t i0 = 0;
+#if defined(__SSE2__)
+  for (; i0 + 12 <= flat; i0 += 12) {
+    const __m128d w0 = _mm_loadu_pd(w + i0), w1 = _mm_loadu_pd(w + i0 + 2);
+    const __m128d w2 = _mm_loadu_pd(w + i0 + 4), w3 = _mm_loadu_pd(w + i0 + 6);
+    const __m128d w4 = _mm_loadu_pd(w + i0 + 8), w5 = _mm_loadu_pd(w + i0 + 10);
+    __m128d a0 = _mm_setzero_pd(), a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0;
+    for (std::size_t a = 0; a < n_active; ++a) {
+      const __m128d s = _mm_set1_pd(dz[a]);
+      const double* p = pooled + active[a] * flat + i0;
+      double* dp = d_pooled + active[a] * flat + i0;
+      a0 = _mm_add_pd(a0, _mm_mul_pd(s, _mm_loadu_pd(p)));
+      a1 = _mm_add_pd(a1, _mm_mul_pd(s, _mm_loadu_pd(p + 2)));
+      a2 = _mm_add_pd(a2, _mm_mul_pd(s, _mm_loadu_pd(p + 4)));
+      a3 = _mm_add_pd(a3, _mm_mul_pd(s, _mm_loadu_pd(p + 6)));
+      a4 = _mm_add_pd(a4, _mm_mul_pd(s, _mm_loadu_pd(p + 8)));
+      a5 = _mm_add_pd(a5, _mm_mul_pd(s, _mm_loadu_pd(p + 10)));
+      _mm_storeu_pd(dp, _mm_add_pd(_mm_loadu_pd(dp), _mm_mul_pd(s, w0)));
+      _mm_storeu_pd(dp + 2, _mm_add_pd(_mm_loadu_pd(dp + 2), _mm_mul_pd(s, w1)));
+      _mm_storeu_pd(dp + 4, _mm_add_pd(_mm_loadu_pd(dp + 4), _mm_mul_pd(s, w2)));
+      _mm_storeu_pd(dp + 6, _mm_add_pd(_mm_loadu_pd(dp + 6), _mm_mul_pd(s, w3)));
+      _mm_storeu_pd(dp + 8, _mm_add_pd(_mm_loadu_pd(dp + 8), _mm_mul_pd(s, w4)));
+      _mm_storeu_pd(dp + 10, _mm_add_pd(_mm_loadu_pd(dp + 10), _mm_mul_pd(s, w5)));
+    }
+    _mm_storeu_pd(g + i0, a0);
+    _mm_storeu_pd(g + i0 + 2, a1);
+    _mm_storeu_pd(g + i0 + 4, a2);
+    _mm_storeu_pd(g + i0 + 6, a3);
+    _mm_storeu_pd(g + i0 + 8, a4);
+    _mm_storeu_pd(g + i0 + 10, a5);
+  }
+#endif
+  for (; i0 < flat; ++i0) {
+    double acc = 0.0;
+    for (std::size_t a = 0; a < n_active; ++a) {
+      acc += dz[a] * pooled[active[a] * flat + i0];
+      d_pooled[active[a] * flat + i0] += dz[a] * w[i0];
+    }
+    g[i0] = acc;
   }
 }
 
@@ -117,6 +211,155 @@ void Cnn1D::forward(std::span<const double> scaled, Activations& act) const {
   const double e1 = std::exp(act.logits[1] - mx);
   act.probs[0] = e0 / (e0 + e1);
   act.probs[1] = e1 / (e0 + e1);
+}
+
+void Cnn1D::conv_pool_row(const double* in, double* conv, double* pooled,
+                          std::size_t* argmax) const {
+  const std::size_t d = input_dim_;
+  const std::size_t k = config_.kernel;
+  const std::size_t half = k / 2;
+  const std::size_t p_len = pooled_length();
+  for (std::size_t f = 0; f < config_.filters; ++f) {
+    double* c = conv + f * d;
+    for (std::size_t i = 0; i < d; ++i) {
+      double sum = conv_b_[f];
+      for (std::size_t t = 0; t < k; ++t) {
+        const std::int64_t src = static_cast<std::int64_t>(i + t) - static_cast<std::int64_t>(half);
+        if (src >= 0 && src < static_cast<std::int64_t>(d)) {
+          sum += conv_w_[f * k + t] * in[static_cast<std::size_t>(src)];
+        }
+      }
+      c[i] = sum;
+    }
+    for (std::size_t p = 0; p < p_len; ++p) {
+      const std::size_t i0 = 2 * p;
+      const std::size_t i1 = std::min(i0 + 1, d - 1);
+      const double v0 = c[i0] > 0.0 ? c[i0] : 0.0;
+      const double v1 = c[i1] > 0.0 ? c[i1] : 0.0;
+      const bool first = v0 >= v1;  // forward()'s tie rule
+      pooled[f * p_len + p] = first ? v0 : v1;
+      argmax[f * p_len + p] = f * d + (first ? i0 : i1);
+    }
+  }
+}
+
+void Cnn1D::dense1_block(const double* pooled, std::size_t rows, double* zt, double* pt) const {
+  const std::size_t flat = flat_size();
+  const std::size_t h_count = config_.hidden;
+  // Hidden unit outer, rows inner: each weight row is loaded once per
+  // 16-row tile and reused across it, where a per-row GEMV streams the
+  // whole H × flat matrix (beyond L2) once per row.
+  std::size_t r0 = 0;
+  for (; r0 + kTileRows <= rows; r0 += kTileRows) {
+    // Row j's pooled value for input i sits at pt[i * kTileRows + j], so
+    // the tile's 16 accumulators form contiguous lanes.
+    for (std::size_t j = 0; j < kTileRows; ++j) {
+      const double* p_row = pooled + (r0 + j) * flat;
+      for (std::size_t i = 0; i < flat; ++i) pt[i * kTileRows + j] = p_row[i];
+    }
+    for (std::size_t h = 0; h < h_count; ++h) {
+      const double* w = &dense1_w_[h * flat];
+      const double b = dense1_b_[h];
+      double* out = zt + h * rows + r0;
+#if defined(__SSE2__)
+      // Each lane is an independent bias-first, i-ascending chain of
+      // mul-then-add, so every output matches forward()'s dot product bit
+      // for bit. Named accumulators keep the tile in registers; GCC -O2
+      // leaves an accumulator array in stack slots.
+      const __m128d bv = _mm_set1_pd(b);
+      __m128d a0 = bv, a1 = bv, a2 = bv, a3 = bv, a4 = bv, a5 = bv, a6 = bv, a7 = bv;
+      for (std::size_t i = 0; i < flat; ++i) {
+        const __m128d wi = _mm_set1_pd(w[i]);
+        const double* col = pt + i * kTileRows;
+        a0 = _mm_add_pd(a0, _mm_mul_pd(wi, _mm_loadu_pd(col + 0)));
+        a1 = _mm_add_pd(a1, _mm_mul_pd(wi, _mm_loadu_pd(col + 2)));
+        a2 = _mm_add_pd(a2, _mm_mul_pd(wi, _mm_loadu_pd(col + 4)));
+        a3 = _mm_add_pd(a3, _mm_mul_pd(wi, _mm_loadu_pd(col + 6)));
+        a4 = _mm_add_pd(a4, _mm_mul_pd(wi, _mm_loadu_pd(col + 8)));
+        a5 = _mm_add_pd(a5, _mm_mul_pd(wi, _mm_loadu_pd(col + 10)));
+        a6 = _mm_add_pd(a6, _mm_mul_pd(wi, _mm_loadu_pd(col + 12)));
+        a7 = _mm_add_pd(a7, _mm_mul_pd(wi, _mm_loadu_pd(col + 14)));
+      }
+      _mm_storeu_pd(out + 0, a0);
+      _mm_storeu_pd(out + 2, a1);
+      _mm_storeu_pd(out + 4, a2);
+      _mm_storeu_pd(out + 6, a3);
+      _mm_storeu_pd(out + 8, a4);
+      _mm_storeu_pd(out + 10, a5);
+      _mm_storeu_pd(out + 12, a6);
+      _mm_storeu_pd(out + 14, a7);
+#else
+      for (std::size_t j = 0; j < kTileRows; ++j) out[j] = b;
+      for (std::size_t i = 0; i < flat; ++i) {
+        const double wi = w[i];
+        const double* col = pt + i * kTileRows;
+        for (std::size_t j = 0; j < kTileRows; ++j) out[j] += wi * col[j];
+      }
+#endif
+    }
+  }
+  // Remainder rows (final partial tile): plain per-row dot products.
+  for (; r0 < rows; ++r0) {
+    const double* p_row = pooled + r0 * flat;
+    for (std::size_t h = 0; h < h_count; ++h) {
+      const double* w = &dense1_w_[h * flat];
+      double sum = dense1_b_[h];
+      for (std::size_t i = 0; i < flat; ++i) sum += w[i] * p_row[i];
+      zt[h * rows + r0] = sum;
+    }
+  }
+}
+
+void Cnn1D::dense2_block(const double* zt, std::size_t rows, double* logits) const {
+  const std::size_t h_count = config_.hidden;
+  const double* w0 = &dense2_w_[0];
+  const double* w1 = &dense2_w_[h_count];
+  std::size_t r = 0;
+#if defined(__SSE2__)
+  // Four row pairs per pass: 8 independent accumulator chains instead of
+  // one row's two, each still summing its units in ascending order.
+  const __m128d zero = _mm_setzero_pd();
+  const auto relu = [zero](__m128d z) { return _mm_and_pd(_mm_cmpgt_pd(z, zero), z); };
+  for (; r + 8 <= rows; r += 8) {
+    __m128d a0 = _mm_set1_pd(dense2_b_[0]), b0 = _mm_set1_pd(dense2_b_[1]);
+    __m128d a1 = a0, a2 = a0, a3 = a0, b1 = b0, b2 = b0, b3 = b0;
+    for (std::size_t h = 0; h < h_count; ++h) {
+      const __m128d c0 = _mm_set1_pd(w0[h]), c1 = _mm_set1_pd(w1[h]);
+      const double* z = zt + h * rows + r;
+      const __m128d z0 = relu(_mm_loadu_pd(z)), z1 = relu(_mm_loadu_pd(z + 2));
+      const __m128d z2 = relu(_mm_loadu_pd(z + 4)), z3 = relu(_mm_loadu_pd(z + 6));
+      a0 = _mm_add_pd(a0, _mm_mul_pd(c0, z0));
+      a1 = _mm_add_pd(a1, _mm_mul_pd(c0, z1));
+      a2 = _mm_add_pd(a2, _mm_mul_pd(c0, z2));
+      a3 = _mm_add_pd(a3, _mm_mul_pd(c0, z3));
+      b0 = _mm_add_pd(b0, _mm_mul_pd(c1, z0));
+      b1 = _mm_add_pd(b1, _mm_mul_pd(c1, z1));
+      b2 = _mm_add_pd(b2, _mm_mul_pd(c1, z2));
+      b3 = _mm_add_pd(b3, _mm_mul_pd(c1, z3));
+    }
+    // Lane j of (a_q, b_q) is row r + 2q + j's (logit 0, logit 1).
+    double* out = logits + 2 * r;
+    _mm_storeu_pd(out + 0, _mm_unpacklo_pd(a0, b0));
+    _mm_storeu_pd(out + 2, _mm_unpackhi_pd(a0, b0));
+    _mm_storeu_pd(out + 4, _mm_unpacklo_pd(a1, b1));
+    _mm_storeu_pd(out + 6, _mm_unpackhi_pd(a1, b1));
+    _mm_storeu_pd(out + 8, _mm_unpacklo_pd(a2, b2));
+    _mm_storeu_pd(out + 10, _mm_unpackhi_pd(a2, b2));
+    _mm_storeu_pd(out + 12, _mm_unpacklo_pd(a3, b3));
+    _mm_storeu_pd(out + 14, _mm_unpackhi_pd(a3, b3));
+  }
+#endif
+  for (; r < rows; ++r) {
+    double l0 = dense2_b_[0], l1 = dense2_b_[1];
+    for (std::size_t h = 0; h < h_count; ++h) {
+      const double z = zt[h * rows + r];
+      const double a = z > 0.0 ? z : 0.0;
+      l0 += w0[h] * a;
+      l1 += w1[h] * a;
+    }
+    logits[2 * r] = l0;
+    logits[2 * r + 1] = l1;
+  }
 }
 
 void Cnn1D::initialize(std::size_t input_dim, const StandardScaler& scaler) {
@@ -223,9 +466,9 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
   const std::size_t k = config_.kernel;
   const std::size_t flat = flat_size();
   const std::size_t h_count = config_.hidden;
-  const std::size_t p_len = pooled_length();
   const std::size_t d = input_dim_;
   const std::size_t half = k / 2;
+  const std::size_t max_rows = std::min(config_.batch_size, n);
 
   AdamState s_conv_w{conv_w_.size()}, s_conv_b{conv_b_.size()};
   AdamState s_d1_w{dense1_w_.size()}, s_d1_b{dense1_b_.size()};
@@ -234,71 +477,126 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
 
-  Activations act;
+  // Per-batch blocks (see the layouts at the top of this file).
+  std::vector<double> conv(max_rows * f_count * d);  // conv pre-activations
+  std::vector<double> pooled(max_rows * flat);
+  std::vector<std::size_t> argmax(max_rows * flat);  // into the row's conv block
+  std::vector<double> pt(flat * kTileRows);
+  std::vector<double> zt(h_count * max_rows);
+  std::vector<double> logits(2 * max_rows);
+  std::vector<double> d_logit0(max_rows), d_logit1(max_rows);
+  std::vector<double> d_pooled(max_rows * flat);
+  // One hidden unit's column of the batch: ReLU output, gated gradient,
+  // gate, and the open rows compacted in ascending order.
+  std::vector<double> relu2(max_rows), dz(max_rows), dz_active(max_rows);
+  std::vector<std::uint8_t> gate_open(max_rows);
+  std::vector<std::uint32_t> active(max_rows);
+  std::vector<double> d_relu1(f_count * d);
+
   std::vector<double> g_conv_w(conv_w_.size()), g_conv_b(conv_b_.size());
   std::vector<double> g_d1_w(dense1_w_.size()), g_d1_b(dense1_b_.size());
   std::vector<double> g_d2_w(dense2_w_.size()), g_d2_b(dense2_b_.size());
-  std::vector<double> d_relu2(h_count), d_pooled(flat), d_relu1(f_count * d);
 
+  // Every gradient element below is summed in the order of the
+  // per-sample reference loop in tests/ml_cnn_train_test.cpp (batch rows
+  // ascending; for d_pooled, hidden units ascending), with the same skips,
+  // so training is bit-identical to it.
   std::uint64_t step = 0;
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t start = 0; start < n; start += config_.batch_size) {
       const std::size_t end = std::min(start + config_.batch_size, n);
-      const double inv_batch = 1.0 / static_cast<double>(end - start);
+      const std::size_t rows = end - start;
+      const double inv_batch = 1.0 / static_cast<double>(rows);
 
+      // --- forward ---------------------------------------------------------
+      for (std::size_t r = 0; r < rows; ++r) {
+        conv_pool_row(data.row(order[start + r]).data(), &conv[r * f_count * d],
+                      &pooled[r * flat], &argmax[r * flat]);
+      }
+      dense1_block(pooled.data(), rows, zt.data(), pt.data());
+      dense2_block(zt.data(), rows, logits.data());
+
+      // Softmax + cross-entropy: dL/dlogits, and the Dense(2) bias grad.
+      g_d2_b[0] = 0.0;
+      g_d2_b[1] = 0.0;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double l0 = logits[2 * r], l1 = logits[2 * r + 1];
+        const double mx = std::max(l0, l1);
+        const double e0 = std::exp(l0 - mx);
+        const double e1 = std::exp(l1 - mx);
+        double dl[2] = {e0 / (e0 + e1), e1 / (e0 + e1)};
+        dl[sub_y[order[start + r]] != 0 ? 1 : 0] -= 1.0;
+        d_logit0[r] = dl[0];
+        d_logit1[r] = dl[1];
+        g_d2_b[0] += dl[0];
+        g_d2_b[1] += dl[1];
+      }
+
+      // --- Dense(2), ReLU2 and Dense(hidden) backward, one unit at a time --
+      std::fill(d_pooled.begin(), d_pooled.begin() + static_cast<std::ptrdiff_t>(rows * flat),
+                0.0);
+      for (std::size_t h = 0; h < h_count; ++h) {
+        const double* z = &zt[h * rows];
+        const double w0 = dense2_w_[h], w1 = dense2_w_[h_count + h];
+        std::size_t r = 0;
+#if defined(__SSE2__)
+        // Branch-free over row pairs: the ReLU gate is a compare mask
+        // (open where !(z <= 0), the reference loop's skip test), and
+        // d_relu2 keeps that loop's (0 + dl0·w0) + dl1·w1 order.
+        const __m128d zero = _mm_setzero_pd();
+        const __m128d vw0 = _mm_set1_pd(w0), vw1 = _mm_set1_pd(w1);
+        for (; r + 2 <= rows; r += 2) {
+          const __m128d zr = _mm_loadu_pd(z + r);
+          const __m128d gate = _mm_cmpnle_pd(zr, zero);
+          const __m128d back =
+              _mm_add_pd(_mm_add_pd(zero, _mm_mul_pd(_mm_loadu_pd(&d_logit0[r]), vw0)),
+                         _mm_mul_pd(_mm_loadu_pd(&d_logit1[r]), vw1));
+          _mm_storeu_pd(&relu2[r], _mm_and_pd(_mm_cmpgt_pd(zr, zero), zr));
+          _mm_storeu_pd(&dz[r], _mm_and_pd(gate, back));
+          const int bits = _mm_movemask_pd(gate);
+          gate_open[r] = static_cast<std::uint8_t>(bits & 1);
+          gate_open[r + 1] = static_cast<std::uint8_t>(bits >> 1);
+        }
+#endif
+        for (; r < rows; ++r) {
+          const bool gate = !(z[r] <= 0.0);
+          relu2[r] = z[r] > 0.0 ? z[r] : 0.0;
+          dz[r] = gate ? (0.0 + d_logit0[r] * w0) + d_logit1[r] * w1 : 0.0;
+          gate_open[r] = gate ? 1 : 0;
+        }
+        // Row-ascending sums. A closed gate contributes an exact +0, which
+        // leaves these accumulators (which start at +0) unchanged.
+        double s0 = 0.0, s1 = 0.0, sb = 0.0;
+        std::size_t n_active = 0;
+        for (r = 0; r < rows; ++r) {
+          s0 += d_logit0[r] * relu2[r];
+          s1 += d_logit1[r] * relu2[r];
+          sb += dz[r];
+          active[n_active] = static_cast<std::uint32_t>(r);
+          dz_active[n_active] = dz[r];
+          n_active += gate_open[r];
+        }
+        g_d2_w[h] = s0;
+        g_d2_w[h_count + h] = s1;
+        g_d1_b[h] = sb;
+        dense1_unit_grad(&dense1_w_[h * flat], pooled.data(), flat, active.data(),
+                         dz_active.data(), n_active, &g_d1_w[h * flat], d_pooled.data());
+      }
+
+      // --- MaxPool, ReLU1 and Conv1D backward, per row ---------------------
       std::fill(g_conv_w.begin(), g_conv_w.end(), 0.0);
       std::fill(g_conv_b.begin(), g_conv_b.end(), 0.0);
-      std::fill(g_d1_w.begin(), g_d1_w.end(), 0.0);
-      std::fill(g_d1_b.begin(), g_d1_b.end(), 0.0);
-      std::fill(g_d2_w.begin(), g_d2_w.end(), 0.0);
-      std::fill(g_d2_b.begin(), g_d2_b.end(), 0.0);
-
-      for (std::size_t bi = start; bi < end; ++bi) {
-        const std::size_t i = order[bi];
-        forward(data.row(i), act);
-        const int truth = sub_y[i] != 0 ? 1 : 0;
-
-        // dL/dlogits for softmax + cross-entropy.
-        double d_logits[2] = {act.probs[0], act.probs[1]};
-        d_logits[truth] -= 1.0;
-
-        // Dense2 gradients and back to relu2.
-        std::fill(d_relu2.begin(), d_relu2.end(), 0.0);
-        for (std::size_t c = 0; c < 2; ++c) {
-          g_d2_b[c] += d_logits[c];
-          double* gw = &g_d2_w[c * h_count];
-          const double* w = &dense2_w_[c * h_count];
-          for (std::size_t h = 0; h < h_count; ++h) {
-            gw[h] += d_logits[c] * act.relu2[h];
-            d_relu2[h] += d_logits[c] * w[h];
-          }
-        }
-
-        // ReLU2 and Dense1; back to pooled.
-        std::fill(d_pooled.begin(), d_pooled.end(), 0.0);
-        for (std::size_t h = 0; h < h_count; ++h) {
-          if (act.dense1[h] <= 0.0) continue;
-          const double dh = d_relu2[h];
-          g_d1_b[h] += dh;
-          double* gw = &g_d1_w[h * flat];
-          const double* w = &dense1_w_[h * flat];
-          for (std::size_t p = 0; p < flat; ++p) {
-            gw[p] += dh * act.pooled[p];
-            d_pooled[p] += dh * w[p];
-          }
-        }
-
-        // MaxPool backprop (route gradient to argmax), then ReLU1.
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* in = data.row(order[start + r]).data();
+        const double* c = &conv[r * f_count * d];
         std::fill(d_relu1.begin(), d_relu1.end(), 0.0);
-        for (std::size_t p = 0; p < f_count * p_len; ++p) {
-          d_relu1[act.pool_argmax[p]] += d_pooled[p];
+        for (std::size_t p = 0; p < flat; ++p) {
+          d_relu1[argmax[r * flat + p]] += d_pooled[r * flat + p];
         }
-
-        // Conv backprop.
         for (std::size_t f = 0; f < f_count; ++f) {
           for (std::size_t i2 = 0; i2 < d; ++i2) {
-            if (act.conv[f * d + i2] <= 0.0) continue;  // ReLU1 gate
+            if (c[f * d + i2] <= 0.0) continue;  // ReLU1 gate
             const double dc = d_relu1[f * d + i2];
             if (dc == 0.0) continue;
             g_conv_b[f] += dc;
@@ -306,33 +604,26 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
               const std::int64_t src =
                   static_cast<std::int64_t>(i2 + t) - static_cast<std::int64_t>(half);
               if (src >= 0 && src < static_cast<std::int64_t>(d)) {
-                g_conv_w[f * k + t] += dc * act.input[static_cast<std::size_t>(src)];
+                g_conv_w[f * k + t] += dc * in[static_cast<std::size_t>(src)];
               }
             }
           }
         }
       }
 
-      // Average the batch gradients and take an Adam step.
-      for (double& g : g_conv_w) g *= inv_batch;
-      for (double& g : g_conv_b) g *= inv_batch;
-      for (double& g : g_d1_w) g *= inv_batch;
-      for (double& g : g_d1_b) g *= inv_batch;
-      for (double& g : g_d2_w) g *= inv_batch;
-      for (double& g : g_d2_b) g *= inv_batch;
-
+      // --- Adam on the batch-mean gradients --------------------------------
       ++step;
       const double bias_correction =
           std::sqrt(1.0 - std::pow(config_.beta2, static_cast<double>(step))) /
           (1.0 - std::pow(config_.beta1, static_cast<double>(step)));
       const double lr_t = config_.learning_rate * bias_correction;
 
-      adam_step(conv_w_, g_conv_w, s_conv_w, config_, lr_t);
-      adam_step(conv_b_, g_conv_b, s_conv_b, config_, lr_t);
-      adam_step(dense1_w_, g_d1_w, s_d1_w, config_, lr_t);
-      adam_step(dense1_b_, g_d1_b, s_d1_b, config_, lr_t);
-      adam_step(dense2_w_, g_d2_w, s_d2_w, config_, lr_t);
-      adam_step(dense2_b_, g_d2_b, s_d2_b, config_, lr_t);
+      adam_step(conv_w_, g_conv_w, s_conv_w, config_, inv_batch, lr_t);
+      adam_step(conv_b_, g_conv_b, s_conv_b, config_, inv_batch, lr_t);
+      adam_step(dense1_w_, g_d1_w, s_d1_w, config_, inv_batch, lr_t);
+      adam_step(dense1_b_, g_d1_b, s_d1_b, config_, inv_batch, lr_t);
+      adam_step(dense2_w_, g_d2_w, s_d2_w, config_, inv_batch, lr_t);
+      adam_step(dense2_b_, g_d2_b, s_d2_b, config_, inv_batch, lr_t);
     }
   }
   if (quantize_) build_quantized_tables();  // weights moved: re-quantize
@@ -355,21 +646,18 @@ void Cnn1D::score_batch(const DesignMatrix& x, Verdicts& out) const {
   if (!trained_) throw std::logic_error("Cnn1D::score_batch: not trained");
   const std::size_t n = x.rows();
   const std::size_t d = input_dim_;
-  const std::size_t f_count = config_.filters;
-  const std::size_t k = config_.kernel;
-  const std::size_t half = k / 2;
-  const std::size_t p_len = pooled_length();
   const std::size_t flat = flat_size();
   const std::size_t h_count = config_.hidden;
   out.assign(n, 0);
 
   constexpr std::size_t kRowBlock = 32;
-  constexpr std::size_t kTileRows = 16;  // GEMM micro-tile width (see below)
-  std::vector<double> scaled(kRowBlock * d);
-  std::vector<double> relu1(d);                 // one row's conv activations
-  std::vector<double> pooled(kRowBlock * flat); // the im2col design matrix
-  std::vector<double> pt(flat * kTileRows);     // one tile, transposed
-  std::vector<double> hidden(kRowBlock * h_count);
+  std::vector<double> scaled(d);
+  std::vector<double> conv(config_.filters * d);  // one row's conv block
+  std::vector<std::size_t> argmax(flat);           // (unused when scoring)
+  std::vector<double> pooled(kRowBlock * flat);    // the im2col design matrix
+  std::vector<double> pt(flat * kTileRows);        // one tile, transposed
+  std::vector<double> zt(h_count * kRowBlock);
+  std::vector<double> logits(2 * kRowBlock);
   // int8 path scratch: quantized values live pre-widened to int16 so the
   // pmaddwd inner loop needs no per-iteration sign extension (the values
   // themselves stay in the int8 range [-127, 127]).
@@ -382,46 +670,10 @@ void Cnn1D::score_batch(const DesignMatrix& x, Verdicts& out) const {
 
     // --- scale + Conv1D + ReLU + MaxPool(2), per row, scalar order -------
     for (std::size_t r = 0; r < bn; ++r) {
-      double* in = scaled.data() + r * d;
-      scaler_.transform_into(x.row(base + r), {in, d});
-      double* p_row = pooled.data() + r * flat;
-      for (std::size_t f = 0; f < f_count; ++f) {
-        for (std::size_t i = 0; i < d; ++i) {
-          double sum = conv_b_[f];
-          for (std::size_t t = 0; t < k; ++t) {
-            const std::int64_t src =
-                static_cast<std::int64_t>(i + t) - static_cast<std::int64_t>(half);
-            if (src >= 0 && src < static_cast<std::int64_t>(d)) {
-              sum += conv_w_[f * k + t] * in[static_cast<std::size_t>(src)];
-            }
-          }
-          relu1[i] = sum > 0.0 ? sum : 0.0;
-        }
-        for (std::size_t p = 0; p < p_len; ++p) {
-          const std::size_t i0 = 2 * p;
-          const std::size_t i1 = std::min(i0 + 1, d - 1);
-          const double v0 = relu1[i0];
-          const double v1 = relu1[i1];
-          p_row[f * p_len + p] = v0 >= v1 ? v0 : v1;  // scalar path's >= tie rule
-        }
-      }
+      scaler_.transform_into(x.row(base + r), scaled);
+      conv_pool_row(scaled.data(), conv.data(), &pooled[r * flat], argmax.data());
     }
 
-    // --- Dense(hidden) as a register-blocked GEMM ------------------------
-    // Two structural moves over the scalar per-row GEMV, neither touching
-    // any per-output reduction:
-    //   * hidden unit outer, rows inner — the per-row order streams the
-    //     whole dense1 weight matrix (H × flat doubles, far beyond L2)
-    //     once per row and is memory-bound; this order loads each weight
-    //     row once per tile and reuses it across every row in it;
-    //   * a fixed-width transposed micro-tile — row j's pooled value for
-    //     input i sits at pt[i * kTileRows + j], so the j-loop below is a
-    //     contiguous fixed-trip-count lane loop the compiler can keep in
-    //     vector registers. Each lane j is an independent accumulator
-    //     chain that still sums i ascending from the bias — the scalar
-    //     order — so every (row, h) output is bit-identical to forward();
-    //     the lanes merely retire in parallel instead of serialising on
-    //     the FP add latency like the scalar dot product does.
     if (quantize_) {
       // --- Dense(hidden), dynamically quantized (int8 deployment) --------
       // Per row: symmetric int8 quantization of the pooled activations
@@ -478,98 +730,20 @@ void Cnn1D::score_batch(const DesignMatrix& x, Verdicts& out) const {
           for (; i < flat; ++i) {
             acc += static_cast<std::int32_t>(w16[i]) * static_cast<std::int32_t>(aq_row[i]);
           }
-          const double v = b + w_scale * a_scales[r] * static_cast<double>(acc);
-          hidden[r * h_count + h] = v > 0.0 ? v : 0.0;
+          zt[h * bn + r] = b + w_scale * a_scales[r] * static_cast<double>(acc);
         }
       }
-      // --- Dense(2) + softmax + argmax (shared with the float path) ------
-      for (std::size_t r = 0; r < bn; ++r) {
-        const double* h_row = hidden.data() + r * h_count;
-        const double* w0 = &dense2_w_[0];
-        const double* w1 = &dense2_w_[h_count];
-        double l0 = dense2_b_[0], l1 = dense2_b_[1];
-        for (std::size_t h = 0; h < h_count; ++h) {
-          l0 += w0[h] * h_row[h];
-          l1 += w1[h] * h_row[h];
-        }
-        out[base + r] = l1 > l0 ? 1 : 0;  // softmax is monotone; argmax on logits
-      }
-      continue;
+    } else {
+      dense1_block(pooled.data(), bn, zt.data(), pt.data());
     }
 
-    std::size_t r0 = 0;
-    for (; r0 + kTileRows <= bn; r0 += kTileRows) {
-      for (std::size_t j = 0; j < kTileRows; ++j) {
-        const double* p_row = pooled.data() + (r0 + j) * flat;
-        for (std::size_t i = 0; i < flat; ++i) pt[i * kTileRows + j] = p_row[i];
-      }
-      for (std::size_t h = 0; h < h_count; ++h) {
-        const double* w = &dense1_w_[h * flat];
-        const double b = dense1_b_[h];
-        double acc[kTileRows];
-#if defined(__SSE2__)
-        // Hand-held two-lane form of the fallback loop below. GCC at -O2
-        // vectorises that loop but leaves the accumulators in stack slots;
-        // naming the 8 × 2-lane accumulators as __m128d values keeps the
-        // whole tile in registers (measured ~2.3× over the fallback here).
-        // Each lane is still an independent bias-first, i-ascending chain
-        // of mul-then-add (no FMA contraction on packed intrinsics), so
-        // outputs stay bit-identical to the scalar dot product.
-        const __m128d bv = _mm_set1_pd(b);
-        __m128d a0 = bv, a1 = bv, a2 = bv, a3 = bv, a4 = bv, a5 = bv, a6 = bv, a7 = bv;
-        for (std::size_t i = 0; i < flat; ++i) {
-          const __m128d wi = _mm_set1_pd(w[i]);
-          const double* col = pt.data() + i * kTileRows;
-          a0 = _mm_add_pd(a0, _mm_mul_pd(wi, _mm_loadu_pd(col + 0)));
-          a1 = _mm_add_pd(a1, _mm_mul_pd(wi, _mm_loadu_pd(col + 2)));
-          a2 = _mm_add_pd(a2, _mm_mul_pd(wi, _mm_loadu_pd(col + 4)));
-          a3 = _mm_add_pd(a3, _mm_mul_pd(wi, _mm_loadu_pd(col + 6)));
-          a4 = _mm_add_pd(a4, _mm_mul_pd(wi, _mm_loadu_pd(col + 8)));
-          a5 = _mm_add_pd(a5, _mm_mul_pd(wi, _mm_loadu_pd(col + 10)));
-          a6 = _mm_add_pd(a6, _mm_mul_pd(wi, _mm_loadu_pd(col + 12)));
-          a7 = _mm_add_pd(a7, _mm_mul_pd(wi, _mm_loadu_pd(col + 14)));
-        }
-        _mm_storeu_pd(acc + 0, a0);
-        _mm_storeu_pd(acc + 2, a1);
-        _mm_storeu_pd(acc + 4, a2);
-        _mm_storeu_pd(acc + 6, a3);
-        _mm_storeu_pd(acc + 8, a4);
-        _mm_storeu_pd(acc + 10, a5);
-        _mm_storeu_pd(acc + 12, a6);
-        _mm_storeu_pd(acc + 14, a7);
-#else
-        for (std::size_t j = 0; j < kTileRows; ++j) acc[j] = b;
-        for (std::size_t i = 0; i < flat; ++i) {
-          const double wi = w[i];
-          const double* col = pt.data() + i * kTileRows;
-          for (std::size_t j = 0; j < kTileRows; ++j) acc[j] += wi * col[j];
-        }
-#endif
-        for (std::size_t j = 0; j < kTileRows; ++j) {
-          hidden[(r0 + j) * h_count + h] = acc[j] > 0.0 ? acc[j] : 0.0;
-        }
-      }
-    }
-    // Remainder rows (final partial tile): plain per-row dot products.
-    for (; r0 < bn; ++r0) {
-      const double* p_row = pooled.data() + r0 * flat;
-      for (std::size_t h = 0; h < h_count; ++h) {
-        const double* w = &dense1_w_[h * flat];
-        double sum = dense1_b_[h];
-        for (std::size_t i = 0; i < flat; ++i) sum += w[i] * p_row[i];
-        hidden[r0 * h_count + h] = sum > 0.0 ? sum : 0.0;
-      }
-    }
-
-    // --- Dense(2) + softmax + argmax -------------------------------------
+    // --- ReLU + Dense(2) + softmax + argmax ------------------------------
+    dense2_block(zt.data(), bn, logits.data());
     for (std::size_t r = 0; r < bn; ++r) {
-      const double* h_row = hidden.data() + r * h_count;
-      const double* w0 = &dense2_w_[0];
-      const double* w1 = &dense2_w_[h_count];
-      double l0 = dense2_b_[0], l1 = dense2_b_[1];
-      for (std::size_t h = 0; h < h_count; ++h) {
-        l0 += w0[h] * h_row[h];
-        l1 += w1[h] * h_row[h];
+      const double l0 = logits[2 * r], l1 = logits[2 * r + 1];
+      if (quantize_) {
+        out[base + r] = l1 > l0 ? 1 : 0;  // softmax is monotone; argmax on logits
+        continue;
       }
       // Same softmax expressions as forward(): exp rounding can merge
       // nearly-equal logits, so comparing probabilities (not logits) keeps
@@ -633,22 +807,44 @@ void Cnn1D::save(util::ByteWriter& w) const {
 }
 
 void Cnn1D::load(util::ByteReader& r) {
-  scaler_.load(r);
-  input_dim_ = r.get_u64();
-  config_.filters = r.get_u64();
-  config_.kernel = r.get_u64();
-  config_.hidden = r.get_u64();
-  conv_w_ = r.get_f64_vector();
-  conv_b_ = r.get_f64_vector();
-  dense1_w_ = r.get_f64_vector();
-  dense1_b_ = r.get_f64_vector();
-  dense2_w_ = r.get_f64_vector();
-  dense2_b_ = r.get_f64_vector();
-  if (conv_w_.size() != config_.filters * config_.kernel ||
-      dense1_w_.size() != config_.hidden * flat_size() ||
-      dense2_w_.size() != 2 * config_.hidden) {
+  StandardScaler scaler;
+  scaler.load(r);
+  const std::uint64_t input_dim = r.get_u64();
+  const std::uint64_t filters = r.get_u64();
+  const std::uint64_t kernel = r.get_u64();
+  const std::uint64_t hidden = r.get_u64();
+  std::vector<double> conv_w = r.get_f64_vector();
+  std::vector<double> conv_b = r.get_f64_vector();
+  std::vector<double> dense1_w = r.get_f64_vector();
+  std::vector<double> dense1_b = r.get_f64_vector();
+  std::vector<double> dense2_w = r.get_f64_vector();
+  std::vector<double> dense2_b = r.get_f64_vector();
+
+  // The constructor's invariants, the scaler's width, then every tensor
+  // length — each product checked for overflow before it is compared, so
+  // a crafted file cannot wrap a length into agreement.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto fits = [](std::uint64_t a, std::uint64_t b) { return b == 0 || a <= kMax / b; };
+  const std::uint64_t pooled = input_dim / 2 + input_dim % 2;
+  if (kernel % 2 == 0 || filters == 0 || hidden == 0 || input_dim == 0 ||
+      input_dim != scaler.mean().size() || !fits(filters, kernel) || !fits(filters, pooled) ||
+      !fits(hidden, filters * pooled) || !fits(2, hidden) ||
+      conv_w.size() != filters * kernel || conv_b.size() != filters ||
+      dense1_w.size() != hidden * (filters * pooled) || dense1_b.size() != hidden ||
+      dense2_w.size() != 2 * hidden || dense2_b.size() != 2) {
     throw std::invalid_argument("Cnn1D::load: inconsistent model file");
   }
+  scaler_ = std::move(scaler);
+  input_dim_ = input_dim;
+  config_.filters = filters;
+  config_.kernel = kernel;
+  config_.hidden = hidden;
+  conv_w_ = std::move(conv_w);
+  conv_b_ = std::move(conv_b);
+  dense1_w_ = std::move(dense1_w);
+  dense1_b_ = std::move(dense1_b);
+  dense2_w_ = std::move(dense2_w);
+  dense2_b_ = std::move(dense2_b);
   trained_ = true;
   if (quantize_) build_quantized_tables();  // weights replaced under an active switch
 }

@@ -3,8 +3,9 @@
 // Architecture over the feature vector treated as a length-D sequence:
 //   Conv1D(filters, kernel=3, same padding) → ReLU → MaxPool(2)
 //   → Flatten → Dense(hidden) → ReLU → Dense(2) → Softmax
-// trained with Adam on cross-entropy. Written from scratch: forward,
-// backward, and the optimiser live here; no external ML dependency.
+// trained with Adam on cross-entropy in mini-batches. Written from
+// scratch: forward, backward, and the optimiser live here; no external ML
+// dependency.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +42,13 @@ class Cnn1D : public Classifier {
   void fit(const DesignMatrix& x, const std::vector<int>& y) override;
   int predict(std::span<const double> row) const override;
   /// Batched kernel: scales and convolves a block of rows into an
-  /// im2col-style (rows × flat) pooled matrix, then runs the dense layers
-  /// as a register-blocked GEMM — four independent hidden-unit
-  /// accumulators per pass, each summing the flat dimension in the scalar
-  /// path's ascending order, so the result is bit-identical to predict()
-  /// while the accumulator fan breaks the FP add latency chain that
-  /// serialises the scalar dot products. No per-row allocation.
+  /// im2col-style (rows × flat) pooled matrix, then runs Dense(hidden)
+  /// through dense1_block(), the kernel training shares: one hidden unit
+  /// at a time over a 16-row transposed tile, eight 2-lane accumulators,
+  /// every lane summing the flat dimension from the bias in the scalar
+  /// path's ascending order. The result is bit-identical to predict(),
+  /// while the 16 independent chains hide the FP add latency that
+  /// serialises a single dot product. No per-row allocation.
   void score_batch(const DesignMatrix& x, Verdicts& out) const override;
   /// Lifecycle retrain: fine_tune_epochs extra Adam epochs from the
   /// current parameters on the replay batch (frozen scaler). The shuffle
@@ -116,7 +118,31 @@ class Cnn1D : public Classifier {
     std::vector<double> probs;    // 2
   };
 
+  /// One row through the whole network, scalar: predict()'s path and the
+  /// per-row oracle the batched kernels are tested against.
   void forward(std::span<const double> scaled, Activations& act) const;
+
+  // Block kernels shared by score_batch() and training (layouts in cnn.cpp).
+  /// Conv1D pre-activations (F × D), ReLU + MaxPool(2) output (flat) and
+  /// each pooled value's argmax into the conv block, for one scaled row.
+  void conv_pool_row(const double* in, double* conv, double* pooled, std::size_t* argmax) const;
+  /// Dense(hidden) pre-activations of `rows` pooled rows, written
+  /// transposed (zt[h * rows + r]); `pt` is flat × 16 scratch.
+  void dense1_block(const double* pooled, std::size_t rows, double* zt, double* pt) const;
+  /// ReLU + Dense(2) over dense1_block()'s output, four row pairs at a
+  /// time; each logit sums its units in ascending order.
+  void dense2_block(const double* zt, std::size_t rows, double* logits) const;
+
+  /// Adam over mini-batches, one batch at a time through block kernels:
+  /// the forward pass above, then backward through Dense(2) and the ReLU
+  /// gate with compare masks, Dense(hidden)'s weight and input gradients
+  /// one unit at a time over the rows whose gate is open (12-column
+  /// register blocks), and Conv1D per row. Every gradient element keeps
+  /// the summation order of a one-sample-at-a-time loop (batch rows
+  /// ascending; input gradients over hidden units ascending) and the
+  /// kernels never fuse a multiply into an add, so the trained weights
+  /// are bit-identical to that loop's — model files, accuracies and
+  /// every downstream digest do not depend on the kernel.
   void train_epochs_with(const DesignMatrix& x, const std::vector<int>& y, std::size_t epochs,
                          util::Rng rng);
   /// (Re)builds the int8 dense1 tables from the current float weights.

@@ -361,7 +361,15 @@ void TcpConnection::deliver_in_order() {
 void TcpConnection::on_segment(const Packet& pkt) {
   if (finished_) return;
   auto self = shared_from_this();  // keep alive across callbacks
+  // A callback may finish this connection midway; the callbacks stay
+  // until the outermost segment is fully processed, so the rest of that
+  // segment still reaches them.
+  ++segment_depth_;
+  handle_segment(pkt);
+  if (--segment_depth_ == 0 && finished_) drop_callbacks();
+}
 
+void TcpConnection::handle_segment(const Packet& pkt) {
   if (pkt.has_flag(TcpFlags::kRst)) {
     if (state_ == TcpState::kSynRcvd || state_ == TcpState::kSynSent) {
       finish(TcpCloseReason::kReset);
@@ -471,17 +479,44 @@ void TcpConnection::finish(TcpCloseReason reason) {
   state_ = TcpState::kClosed;
   if (auto listener = parent_listener_.lock(); listener && prior == TcpState::kSynRcvd) {
     if (listener->half_open_count_ > 0) --listener->half_open_count_;
+    listener->drop_callback_if_done();
   }
   auto self = shared_from_this();  // survive map erasure below
   host_.remove_connection(*this);
   if (on_closed_) on_closed_(reason);
+  if (segment_depth_ == 0) drop_callbacks();
+}
+
+void TcpConnection::drop_callbacks() {
+  // Swapped out first: a callback's captures may own this connection.
+  ConnectedFn{}.swap(on_connected_);
+  DataFn{}.swap(on_data_);
+  ClosedFn{}.swap(on_closed_);
+  PeerFinFn{}.swap(on_peer_fin_);
 }
 
 // ---------------------------------------------------------------------------
 // TcpListener
 // ---------------------------------------------------------------------------
 
-void TcpListener::close() { open_ = false; }
+void TcpListener::close() {
+  open_ = false;
+  drop_callback_if_done();
+}
+
+void TcpListener::accept(const std::shared_ptr<TcpConnection>& conn) {
+  if (!on_accept_) return;
+  accepting_ = true;
+  on_accept_(conn);
+  accepting_ = false;
+  drop_callback_if_done();
+}
+
+void TcpListener::drop_callback_if_done() {
+  // Closed, no embryo left to complete and not inside on_accept: nothing
+  // can invoke on_accept again.
+  if (!open_ && half_open_count_ == 0 && !accepting_) AcceptFn{}.swap(on_accept_);
+}
 
 // ---------------------------------------------------------------------------
 // TcpHost
@@ -501,6 +536,13 @@ TcpHost::TcpHost(Node& node, TcpConfig cfg) : node_{node}, cfg_{cfg} {
   // reproducibility is the point, and within a run the secret is exactly as
   // unguessable to simulated peers as a random one.
   cookie_secret_ = 0x9e3779b97f4a7c15ull ^ (std::uint64_t{node.address().bits()} << 17);
+}
+
+TcpHost::~TcpHost() {
+  for (auto& entry : connections_) entry.second->drop_callbacks();
+  for (auto& entry : listeners_) {
+    if (auto listener = entry.second.lock()) TcpListener::AcceptFn{}.swap(listener->on_accept_);
+  }
 }
 
 void TcpHost::set_syn_cookies(bool on, std::size_t watermark) {
@@ -579,7 +621,7 @@ bool TcpHost::try_cookie_complete(const Packet& pkt) {
   register_connection(conn);
   conn->start_cookie_accept(client_iss, expected);
   ++listener->accepted_;
-  if (listener->on_accept_) listener->on_accept_(conn);
+  listener->accept(conn);
   // The validated ACK may already carry data or a FIN; run it through the
   // established state machine.
   conn->on_segment(pkt);
@@ -637,7 +679,7 @@ void TcpHost::notify_established(TcpConnection& conn) {
   if (listener->half_open_count_ > 0) --listener->half_open_count_;
   ++listener->accepted_;
   conn.parent_listener_.reset();
-  if (listener->on_accept_) listener->on_accept_(conn.shared_from_this());
+  listener->accept(conn.shared_from_this());
 }
 
 void TcpHost::send_rst_for(const Packet& pkt) {

@@ -144,6 +144,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void start_cookie_accept(std::uint32_t peer_iss, std::uint32_t cookie_iss);
 
   void on_segment(const Packet& pkt);
+  void handle_segment(const Packet& pkt);
   void send_segment(std::uint8_t flags, std::uint32_t seq, std::uint32_t len,
                     std::string app_data, bool count_payload = true);
   void send_ack();
@@ -156,6 +157,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void deliver_in_order();
   void enter_time_wait();
   void finish(TcpCloseReason reason);
+  /// Releases the app callbacks. They often capture this connection's own
+  /// shared_ptr, so a closed connection that kept them would never be
+  /// freed.
+  void drop_callbacks();
 
   TcpHost& host_;
   Simulator& sim_;
@@ -200,6 +205,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   std::uint64_t retransmissions_ = 0;
   util::SimTime established_at_;
   bool finished_ = false;
+  int segment_depth_ = 0;  // on_segment() frames on the stack
 };
 
 /// A listening TCP port with a finite half-open backlog.
@@ -213,6 +219,9 @@ class TcpListener {
   std::uint64_t accepted() const { return accepted_; }
 
   void set_on_accept(AcceptFn fn) { on_accept_ = std::move(fn); }
+  /// Stops accepting. on_accept, which may capture this listener, is
+  /// dropped once no half-open connection is left to complete and it is
+  /// not running.
   void close();
 
  private:
@@ -220,6 +229,12 @@ class TcpListener {
   friend class TcpConnection;
   TcpListener(TcpHost& host, std::uint16_t port, std::size_t backlog, TrafficOrigin origin)
       : host_{&host}, port_{port}, backlog_{backlog}, origin_{origin} {}
+
+  /// Hands an established connection to on_accept. The caller holds a
+  /// shared_ptr to this listener, so dropping a self-capturing callback
+  /// here cannot free it mid-call.
+  void accept(const std::shared_ptr<TcpConnection>& conn);
+  void drop_callback_if_done();
 
   TcpHost* host_;
   std::uint16_t port_;
@@ -230,12 +245,18 @@ class TcpListener {
   std::uint64_t backlog_drops_ = 0;
   std::uint64_t accepted_ = 0;
   bool open_ = true;
+  bool accepting_ = false;  // inside on_accept_
 };
 
 /// Per-node TCP demultiplexer and connection factory.
 class TcpHost {
  public:
   TcpHost(Node& node, TcpConfig cfg = {});
+  /// Drops the callbacks of every connection and listener still open, so
+  /// the cycles they close through their own shared_ptrs are freed.
+  ~TcpHost();
+  TcpHost(const TcpHost&) = delete;
+  TcpHost& operator=(const TcpHost&) = delete;
 
   /// Starts listening; `origin` labels stack-generated replies
   /// (SYN-ACKs, ACKs) of accepted connections.

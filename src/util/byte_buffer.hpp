@@ -74,7 +74,7 @@ class ByteReader {
     const auto n = get_u64();
     check(n, sizeof(double));
     std::vector<double> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return v;
   }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "ml/classifier.hpp"
 #include "ml/cnn.hpp"
@@ -14,6 +16,7 @@
 #include "ml/preprocess.hpp"
 #include "ml/random_forest.hpp"
 #include "testkit/temp_path.hpp"
+#include "util/byte_buffer.hpp"
 #include "util/rng.hpp"
 
 namespace ddoshield::ml {
@@ -533,6 +536,108 @@ TEST(CnnTest, ParameterCountMatchesArchitecture) {
   // conv: 2*3+2, dense1: 4*(2*4)+4, dense2: 2*4+2
   const std::size_t expected = (2 * 3 + 2) + (4 * 8 + 4) + (2 * 4 + 2);
   EXPECT_EQ(cnn.parameter_count(), expected);
+}
+
+/// A CNN model file written field by field, so a test can make one field
+/// disagree with the rest. The defaults describe a valid network over a
+/// 1-wide scaler: 2 filters of 3 taps (flat size 2) and 3 hidden units.
+struct CnnModelFile {
+  std::uint64_t input_dim = 1;
+  std::uint64_t filters = 2;
+  std::uint64_t kernel = 3;
+  std::uint64_t hidden = 3;
+  std::vector<double> conv_w = std::vector<double>(6, 0.5);
+  std::vector<double> conv_b = std::vector<double>(2, 0.1);
+  std::vector<double> dense1_w = std::vector<double>(6, 0.25);
+  std::vector<double> dense1_b = std::vector<double>(3, 0.1);
+  std::vector<double> dense2_w = {0.3, -0.2, 0.1, -0.3, 0.2, -0.1};
+  std::vector<double> dense2_b = {0.0, 0.0};
+
+  std::vector<std::uint8_t> bytes() const {
+    DesignMatrix x{1};
+    x.add_row(std::vector<double>{0.0});
+    x.add_row(std::vector<double>{2.0});
+    StandardScaler scaler;
+    scaler.fit(x);
+    util::ByteWriter w;
+    scaler.save(w);
+    for (const std::uint64_t v : {input_dim, filters, kernel, hidden}) w.put_u64(v);
+    for (const auto* v : {&conv_w, &conv_b, &dense1_w, &dense1_b, &dense2_w, &dense2_b}) {
+      w.put_f64_span(*v);
+    }
+    return w.take();
+  }
+};
+
+void expect_cnn_load_rejects(const CnnModelFile& file, const char* what) {
+  const auto bytes = file.bytes();
+  util::ByteReader r{bytes};
+  Cnn1D cnn;
+  EXPECT_THROW(cnn.load(r), std::invalid_argument) << what;
+}
+
+TEST(CnnTest, LoadAcceptsAConsistentFile) {
+  const auto bytes = CnnModelFile{}.bytes();
+  util::ByteReader r{bytes};
+  Cnn1D cnn;
+  cnn.load(r);
+  EXPECT_TRUE(r.exhausted());
+  DesignMatrix x{1};
+  x.add_row(std::vector<double>{1.5});
+  Verdicts out;
+  cnn.score_batch(x, out);
+  EXPECT_EQ(out[0], cnn.predict(x.row(0)));
+}
+
+TEST(CnnTest, LoadRejectsEmptyBiases) {
+  // Each loaded before the fix; scoring then read through a null bias.
+  CnnModelFile file;
+  file.conv_b.clear();
+  expect_cnn_load_rejects(file, "empty conv_b");
+  file = {};
+  file.dense1_b.clear();
+  expect_cnn_load_rejects(file, "empty dense1_b");
+  file = {};
+  file.dense2_b.clear();
+  expect_cnn_load_rejects(file, "empty dense2_b");
+}
+
+TEST(CnnTest, LoadRejectsInputWidthOtherThanTheScalers) {
+  // Weights consistent with 64 inputs over a 1-wide scaler: predict()
+  // would read 63 values past the scaled row.
+  CnnModelFile file;
+  file.input_dim = 64;
+  file.dense1_w.assign(file.hidden * file.filters * 32, 0.25);
+  expect_cnn_load_rejects(file, "input_dim 64, scaler width 1");
+}
+
+TEST(CnnTest, LoadRejectsArchitecturesTheConstructorRejects) {
+  CnnModelFile file;
+  file.kernel = 2;
+  file.conv_w.assign(4, 0.5);
+  expect_cnn_load_rejects(file, "even kernel");
+  file = {};
+  file.filters = 0;
+  file.conv_w.clear();
+  file.conv_b.clear();
+  file.dense1_w.clear();
+  expect_cnn_load_rejects(file, "zero filters");
+  file = {};
+  file.hidden = 0;
+  file.dense1_w.clear();
+  file.dense1_b.clear();
+  file.dense2_w.clear();
+  expect_cnn_load_rejects(file, "zero hidden");
+}
+
+TEST(CnnTest, LoadRejectsWrappingLengthProducts) {
+  // hidden = 2^63: hidden * flat (2) and 2 * hidden both wrap to 0, which
+  // empty weight vectors used to match.
+  CnnModelFile file;
+  file.hidden = std::uint64_t{1} << 63;
+  file.dense1_w.clear();
+  file.dense2_w.clear();
+  expect_cnn_load_rejects(file, "hidden 2^63");
 }
 
 // --------------------------------------------------------------------------

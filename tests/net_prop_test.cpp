@@ -79,6 +79,17 @@ struct FloodParams {
   bool spoof;
 };
 
+// gtest prints each case's parameter into the name ctest gives it (e.g.
+// VectorsAndRates/FloodSweep.EmissionRateAndLabels/SynFlood_2000pps_spoofed).
+// Without a printer it would print the struct's raw bytes, padding
+// included, so the names would change from build to build.
+void PrintTo(const FloodParams& p, std::ostream* os) {
+  const char* type = p.type == botnet::AttackType::kSynFlood   ? "SynFlood"
+                     : p.type == botnet::AttackType::kAckFlood ? "AckFlood"
+                                                                : "UdpFlood";
+  *os << type << '_' << static_cast<long>(p.pps) << "pps" << (p.spoof ? "_spoofed" : "");
+}
+
 class FloodSweep : public ::testing::TestWithParam<FloodParams> {};
 
 TEST_P(FloodSweep, EmissionRateAndLabels) {

@@ -318,7 +318,8 @@ TEST(ShardFuzzRegression, NonDividingShardCountsStayEquivalent) {
 // draws its own tap batch capacity), windowed scoring, and verdict-driven
 // edge mitigation, and the IDS equality surface (feature-row digest,
 // verdict digest, ActionLog bytes) must be byte-identical between the
-// single-shard baseline and shards 2 and 8 — the end-to-end check behind
+// single-shard baseline and every count in shard_sweep_set() (2, 4 and 8
+// unless DDOSHIELD_SHARD_SET names others) — the end-to-end check behind
 // DESIGN.md §15's determinism contract.
 // --------------------------------------------------------------------------
 
@@ -346,7 +347,7 @@ TEST_P(ShardIdsFuzz, DetectionIsByteIdenticalAcrossShardCounts) {
   EXPECT_EQ(baseline.ids_rows,
             baseline.upstream_sent + baseline.gossip_sent + baseline.flood_sent);
 
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t shards : shard_sweep_set()) {
     cfg.shard_count = shards;
     const core::ShardWorkloadResult run = core::run_shard_workload(cfg);
     EXPECT_TRUE(run.conservation_ok)
