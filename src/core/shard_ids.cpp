@@ -16,6 +16,8 @@ namespace ddoshield::core {
 
 namespace {
 
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xFFu;
@@ -25,12 +27,13 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
-// Per-tap capture state. The batch sink members are touched by the owning
-// shard's thread during window execution and by shard 0's thread inside
-// the sync hook — never concurrently (the hook runs with every other
-// shard parked at a barrier, which also publishes the writes).
+// Per-tap capture and close state. Everything here is touched by the
+// owning shard's thread (capture during window execution, its share of
+// each close inside the sync hook via ShardedSim::for_each_shard) or by
+// shard 0's thread in the close's serial steps — never concurrently: every
+// hand-over crosses a fleet barrier, which also publishes the writes.
 struct ShardIdsPipeline::TapState final : capture::BatchSink {
-  explicit TapState(const capture::TapConfig& tc) : tap{tc} {
+  TapState(const capture::TapConfig& tc, std::size_t owner) : tap{tc}, shard{owner} {
     acc.set_canonical_ties(true);
   }
 
@@ -43,8 +46,20 @@ struct ShardIdsPipeline::TapState final : capture::BatchSink {
   }
 
   capture::PacketTap tap;
+  const std::size_t shard;          // the shard that captures on this tap
   capture::RecordBatch wbuf;        // open window, struct-of-arrays
   features::WindowAccumulator acc;  // streaming fold (canonical ties)
+
+  // The closing window's share of this tap, rebuilt at every close; the
+  // buffers keep their allocations from window to window.
+  ml::DesignMatrix x{features::kFeatureCount};  // rows, canonical order
+  ml::Verdicts verdicts;
+  std::vector<std::uint32_t> row_sources;
+  std::vector<std::int64_t> lags;  // boundary - capture, truth-malicious rows
+  std::vector<ids::SourceVerdict> sources;  // ascending by src_addr
+  std::uint64_t row_digest = kFnvBasis;     // FNV-1a over this tap's rows
+  std::uint64_t truth = 0;
+  std::uint64_t predicted = 0;
 };
 
 ShardIdsPipeline::ShardIdsPipeline(ShardedSim& sim, const ml::Classifier& model,
@@ -71,7 +86,7 @@ capture::PacketTap& ShardIdsPipeline::add_tap(std::size_t shard) {
   {
     // The tap's counters must live in the shard that will capture on it.
     obs::ScopedObsDomain scope{sim_.domain(shard)};
-    state = std::make_unique<TapState>(tc);
+    state = std::make_unique<TapState>(tc, shard);
   }
   state->tap.add_batch_sink(state.get());
   taps_.push_back(std::move(state));
@@ -138,11 +153,22 @@ void ShardIdsPipeline::flush(util::SimTime now) {
 
 void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   const auto wall0 = std::chrono::steady_clock::now();
+  // The per-tap phases run on every shard at once, each shard over the
+  // taps it owns; the steps between them run on this (shard 0's) thread.
+  const auto on_own_taps = [this](const auto& fn) {
+    sim_.for_each_shard([&](std::size_t s) {
+      for (auto& t : taps_)
+        if (t->shard == s) fn(*t);
+    });
+  };
 
-  // 1. Pull the boundary's partial batches so every captured record of the
-  //    closing window is in wbuf/acc — arrival-order bucketing, same as the
-  //    flat IDS's flush-at-tick.
-  for (auto& t : taps_) t->tap.flush_batch();
+  // 1. Per tap: pull the boundary's partial batch so every captured record
+  //    of the closing window is in wbuf/acc (arrival-order bucketing, same
+  //    as the flat IDS's flush-at-tick), and fold the pending tie run.
+  on_own_taps([](TapState& t) {
+    t.tap.flush_batch();
+    t.acc.flush_ties();
+  });
 
   // ACL expiry runs every boundary, events only for non-empty windows —
   // mirrors the MitigationController tick against the RealTimeIds bus.
@@ -155,49 +181,66 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   // 2. Merge the per-tap partials in tap creation order (the pinned merge
   //    order Chan's Welford combination needs) and finalize once.
   features::WindowAccumulator merged{rows};
-  for (auto& t : taps_) {
-    t->acc.flush_ties();
-    merged.merge_from(t->acc);
-  }
+  for (auto& t : taps_) merged.merge_from(t->acc);
   const features::WindowStats stats = merged.finalize(config_.window);
 
-  // 3. Emit rows per tap in canonical batch order: capture order with
-  //    same-nanosecond runs content-sorted — the one layout-dependent
-  //    degree of freedom, erased.
-  ml::DesignMatrix x{features::kFeatureCount};
-  x.reserve(rows);
-  std::vector<int> truths;
-  std::vector<std::uint32_t> srcs;
-  std::vector<std::int64_t> lags;
-  truths.reserve(rows);
-  srcs.reserve(rows);
-  for (auto& t : taps_) {
-    const auto order = features::canonical_batch_order(t->wbuf, 0, t->wbuf.size());
-    for (const auto& row : features::make_feature_rows(t->wbuf, order, stats)) x.add_row(row);
+  // 3. Per tap: rows in canonical batch order (capture order with
+  //    same-nanosecond runs content-sorted, the one layout-dependent
+  //    degree of freedom, erased), the tap's row digest, truths, row
+  //    sources and detection lags.
+  on_own_taps([&stats, now](TapState& t) {
+    const auto order = features::canonical_batch_order(t.wbuf, 0, t.wbuf.size());
+    t.x.resize_rows(order.size());
+    features::make_feature_rows(t.wbuf, order, stats, t.x.mutable_data());
+    t.row_digest = kFnvBasis;
+    for (const double v : t.x.data()) fnv_mix(t.row_digest, std::bit_cast<std::uint64_t>(v));
+    t.truth = 0;
+    t.row_sources.clear();
+    t.lags.clear();
     for (const std::uint32_t i : order) {
-      truths.push_back(t->wbuf.is_malicious(i) ? 1 : 0);
-      srcs.push_back(t->wbuf.src_addr()[i]);
-      if (t->wbuf.is_malicious(i))
-        lags.push_back(now.ns() - t->wbuf.timestamp_ns()[i]);
+      t.row_sources.push_back(t.wbuf.src_addr()[i]);
+      if (t.wbuf.is_malicious(i)) {
+        ++t.truth;
+        t.lags.push_back(now.ns() - t.wbuf.timestamp_ns()[i]);
+      }
     }
-  }
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    for (const double v : x.row(r)) fnv_mix(row_digest_, std::bit_cast<std::uint64_t>(v));
+  });
 
-  // 4. Score on this (shard 0) thread.
-  ml::Verdicts verdicts;
-  model_.score_batch(x, verdicts);
+  // 4. Score on this thread, one tap at a time: a Classifier need not be
+  //    safe to call from several threads, and each row's verdict does not
+  //    depend on the rows scored with it.
+  for (auto& t : taps_) model_.score_batch(t->x, t->verdicts);
 
-  std::uint64_t predicted = 0;
+  // 5. Per tap: the predicted count, the per-source slice, and the reset
+  //    for the next window (reset wipes the canonical-ties flag).
+  const bool mitigation = config_.mitigation;
+  on_own_taps([mitigation](TapState& t) {
+    t.predicted = static_cast<std::uint64_t>(std::count(t.verdicts.begin(), t.verdicts.end(), 1));
+    if (mitigation) t.sources = ids::group_verdicts_by_source(t.row_sources, t.verdicts);
+    t.wbuf.clear();
+    t.acc.reset();
+    t.acc.set_canonical_ties(true);
+  });
+
+  // 6. Fold the taps in tap order: the row digest over the per-tap
+  //    digests, the verdict digest over every verdict (tap order, then
+  //    row order), the counts, the per-source slices and the lags.
   std::uint64_t truth = 0;
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    fnv_mix(verdict_digest_, static_cast<std::uint64_t>(verdicts[i]));
-    predicted += verdicts[i] == 1;
-    truth += truths[i];
+  std::uint64_t predicted = 0;
+  std::vector<std::span<const ids::SourceVerdict>> slices;
+  slices.reserve(taps_.size());
+  std::vector<std::int64_t> lags;
+  for (auto& t : taps_) {
+    fnv_mix(row_digest_, t->row_digest);
+    for (const int v : t->verdicts) fnv_mix(verdict_digest_, static_cast<std::uint64_t>(v));
+    truth += t->truth;
+    predicted += t->predicted;
+    slices.push_back(t->sources);
+    lags.insert(lags.end(), t->lags.begin(), t->lags.end());
   }
 
-  // 5. Mitigation: per-source verdict slices in ascending src order, then
-  //    the shared ladder with now = the boundary instant.
+  // Mitigation: per-source verdict slices in ascending src order, then the
+  // shared ladder with now = the boundary instant.
   if (config_.mitigation) {
     ids::WindowVerdictEvent event;
     event.window_index = index;
@@ -205,7 +248,7 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
                                               config_.window.ns());
     event.packets = rows;
     event.predicted_malicious = predicted;
-    event.sources = ids::group_verdicts_by_source(srcs, verdicts);
+    event.sources = ids::merge_source_verdicts(slices);
     policy_.process_event(event, now.ns());
   }
 
@@ -222,24 +265,17 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   // p99 is the deterministic sorted-index form, never interpolated.
   std::int64_t lag_p99 = 0;
   if (!lags.empty()) {
-    std::sort(lags.begin(), lags.end());
     for (const std::int64_t lag : lags)
       m_detect_lag_ns_->observe(static_cast<std::uint64_t>(lag < 0 ? 0 : lag));
     std::size_t idx = (lags.size() * 99) / 100;
     if (idx >= lags.size()) idx = lags.size() - 1;
+    std::nth_element(lags.begin(), lags.begin() + static_cast<std::ptrdiff_t>(idx), lags.end());
     lag_p99 = lags[idx];
   }
   m_detect_lag_p99_->set(static_cast<double>(lag_p99));
   m_window_rows_->set(static_cast<double>(rows));
   m_windows_closed_->inc();
   m_rows_->inc(rows);
-
-  // 6. Reset for the next window (reset wipes the canonical-ties flag).
-  for (auto& t : taps_) {
-    t->wbuf.clear();
-    t->acc.reset();
-    t->acc.set_canonical_ties(true);
-  }
 
   const auto wall1 = std::chrono::steady_clock::now();
   const auto close_ns =

@@ -7,10 +7,12 @@
 // nodes, device egress only), each feeding a per-tap columnar RecordBatch
 // and a streaming WindowAccumulator that folds on the owning shard's
 // thread as batches flush. At every window boundary the fleet pauses at
-// the ShardedSim sync hook and shard 0 merges the per-tap partials, builds
-// the merged feature rows, scores them, and walks the verdicts through the
-// shared mitigate::VerdictPolicy, enforcing through every cluster edge's
-// EdgeFilter.
+// the ShardedSim sync hook and closes the window: every shard flushes,
+// builds the feature rows of, and groups the verdicts of the taps it owns
+// (ShardedSim::for_each_shard), while shard 0 alone merges the per-tap
+// partials, scores each tap's rows, and walks the per-source verdicts
+// through the shared mitigate::VerdictPolicy, enforcing through every
+// cluster edge's EdgeFilter.
 //
 // Determinism contract (DESIGN.md §15) — why the merged windows are
 // byte-identical across shard counts:
@@ -115,7 +117,8 @@ class ShardIdsPipeline {
   std::uint64_t rows_total() const { return rows_total_; }
   std::uint64_t truth_total() const { return truth_total_; }
   std::uint64_t predicted_total() const { return predicted_total_; }
-  /// FNV-1a over every emitted row's feature bit patterns, in emit order.
+  /// FNV-1a fold, window by window in tap order, of each tap's FNV-1a
+  /// over its rows' feature bit patterns (in the tap's row order).
   std::uint64_t row_digest() const { return row_digest_; }
   /// FNV-1a over every verdict, in emit order.
   std::uint64_t verdict_digest() const { return verdict_digest_; }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +18,12 @@ class ShardedSim::RunState {
   explicit RunState(std::size_t participants) : barrier{participants} {}
   util::SpinBarrier barrier;
   std::atomic<bool> failed{false};
+  /// Shard 0 is running the sync hooks (for_each_shard may dispatch).
+  std::atomic<bool> in_hook{false};
+  /// The for_each_shard call the parked shards run next; null releases
+  /// them from the hook. Written by shard 0 only before a barrier and read
+  /// by the others only after it, so the barrier publishes it.
+  const std::function<void(std::size_t)>* task = nullptr;
 };
 
 ShardedSim::ShardedSim(ShardSimConfig config) : config_{config} {
@@ -180,25 +187,57 @@ void ShardedSim::run_hooks_at(std::int64_t boundary_ns) {
   }
 }
 
+// Barrier waits are timed into the shard's stall accumulator: the time a
+// shard idles here is exactly the load-imbalance (straggler) tax the health
+// profiler graphs. Two clock reads per wait, a handful of waits per window
+// — noise next to window execution.
+void ShardedSim::wait_at_barrier(Shard& shard) {
+  const auto b0 = std::chrono::steady_clock::now();
+  run_state_->barrier.arrive_and_wait();
+  const auto b1 = std::chrono::steady_clock::now();
+  shard.barrier_stall_ns.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count()),
+      std::memory_order_relaxed);
+}
+
+void ShardedSim::for_each_shard(const std::function<void(std::size_t)>& fn) {
+  RunState* rs = run_state_;
+  if (rs == nullptr) {
+    // S == 1, or no run in progress: nobody to hand the calls to.
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      obs::ScopedObsDomain scope{domain(s)};
+      fn(s);
+    }
+    return;
+  }
+  if (!rs->in_hook.load(std::memory_order_relaxed) || rs->task != nullptr)
+    throw std::logic_error(
+        "ShardedSim::for_each_shard: during a run only a sync hook may call it");
+  Shard& self = *shards_[0];
+  rs->task = &fn;
+  wait_at_barrier(self);  // the parked shards pick the task up
+  std::exception_ptr own;
+  try {
+    fn(0);
+  } catch (...) {
+    own = std::current_exception();
+  }
+  wait_at_barrier(self);  // every shard's call has returned
+  rs->task = nullptr;
+  if (own) std::rethrow_exception(own);
+  if (rs->failed.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock{failure_mutex_};
+    std::rethrow_exception(failure_);
+  }
+}
+
 void ShardedSim::worker(std::size_t shard_index, util::SimTime t0,
                         util::SimTime until, std::int64_t lookahead_ns) {
   Shard& shard = *shards_[shard_index];
   obs::ScopedObsDomain scope{&shard.domain};
   RunState& rs = *run_state_;
   const bool have_hooks = !hooks_.empty();
-  // Barrier waits are timed into the shard's stall accumulator: the time a
-  // shard idles here is exactly the load-imbalance (straggler) tax the
-  // health profiler graphs. Two clock reads per wait, a handful of waits
-  // per window — noise next to window execution.
-  const auto wait_at_barrier = [&rs, &shard] {
-    const auto b0 = std::chrono::steady_clock::now();
-    rs.barrier.arrive_and_wait();
-    const auto b1 = std::chrono::steady_clock::now();
-    shard.barrier_stall_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count()),
-        std::memory_order_relaxed);
-  };
   // The window cursor is thread-local on purpose: every worker computes
   // the identical (t0, until, lookahead, hook periods) arithmetic, so the
   // barrier and sub-step sequences align with no shared state.
@@ -206,7 +245,7 @@ void ShardedSim::worker(std::size_t shard_index, util::SimTime t0,
   for (std::int64_t j = 0;; ++j) {
     // Barrier #1: every shard has finished the previous window, so every
     // message bound for this window is already in its channel.
-    wait_at_barrier();
+    wait_at_barrier(shard);
     if (!rs.failed.load(std::memory_order_acquire)) {
       try {
         drain_inbound(shard);
@@ -216,7 +255,7 @@ void ShardedSim::worker(std::size_t shard_index, util::SimTime t0,
     }
     // Barrier #2: every drain is complete before anyone starts executing,
     // so no producer touches a ring while its consumer drains it.
-    wait_at_barrier();
+    wait_at_barrier(shard);
     util::SimTime target = until;
     if (lookahead_ns > 0) {
       const util::SimTime horizon = t0 + util::SimTime::nanos((j + 1) * lookahead_ns);
@@ -250,16 +289,35 @@ void ShardedSim::worker(std::size_t shard_index, util::SimTime t0,
         // boundary-timestamped event already executed); shard 0 runs the
         // due hooks, in registration order, with exclusive access to all
         // shards' state.
-        wait_at_barrier();
-        if (shard_index == 0 && !rs.failed.load(std::memory_order_acquire)) {
-          try {
-            run_hooks_at(sub_ns);
-          } catch (...) {
-            record_failure();
+        wait_at_barrier(shard);
+        if (shard_index == 0) {
+          if (!rs.failed.load(std::memory_order_acquire)) {
+            rs.in_hook.store(true, std::memory_order_relaxed);
+            try {
+              run_hooks_at(sub_ns);
+            } catch (...) {
+              record_failure();
+            }
+            rs.in_hook.store(false, std::memory_order_relaxed);
+          }
+          // Barrier #4 with no task: the hooks are done before anyone
+          // resumes executing.
+          wait_at_barrier(shard);
+        } else {
+          // Parked: run each for_each_shard call the hooks hand over (two
+          // barriers per call) until barrier #4 arrives with no task.
+          while (true) {
+            wait_at_barrier(shard);
+            const std::function<void(std::size_t)>* task = rs.task;
+            if (task == nullptr) break;
+            try {
+              (*task)(shard_index);
+            } catch (...) {
+              record_failure();
+            }
+            wait_at_barrier(shard);
           }
         }
-        // Barrier #4: the hooks are done before anyone resumes executing.
-        wait_at_barrier();
       }
       if (cursor >= target.ns()) break;
     }

@@ -108,8 +108,9 @@ class ShardedSim {
   /// (events scheduled at the boundary run first) and `fn(boundary)` is
   /// invoked once, on shard 0's thread, with every other shard thread
   /// parked at a barrier — the hook may therefore read and mutate state
-  /// across all shards. S == 1 invokes the hook inline between run_until
-  /// segments, bit-identical pause points. The sub-stepping arithmetic is
+  /// across all shards, and may hand per-shard work back to the parked
+  /// threads with for_each_shard. S == 1 invokes the hook inline between
+  /// run_until segments, bit-identical pause points. The sub-stepping arithmetic is
   /// local per shard thread (identical on all of them), so hook pauses
   /// never change message timing, only where execution briefly parks.
   ///
@@ -120,6 +121,19 @@ class ShardedSim {
   /// the telemetry" means detection state is final before it is sampled.
   /// Periods must be positive. Call before run_until.
   void add_sync_hook(util::SimTime period, std::function<void(util::SimTime)> fn);
+
+  /// Runs `fn(s)` once for every shard `s` and returns when all have
+  /// finished. Called from a sync hook of a multi-shard run, each parked
+  /// shard runs its call on its own thread (its observation domain
+  /// installed) while shard 0's thread runs `fn(0)`; the fleet stays
+  /// parked at the boundary throughout, so the calls may touch only what
+  /// their own shard owns. Outside run_until, or at S == 1, it calls
+  /// fn(0) ... fn(S-1) in order on the calling thread, each under its
+  /// shard's domain. If a call throws, for_each_shard rethrows once every
+  /// shard has finished, which stops the hook, and run_until rethrows it
+  /// after the fleet parks. During a run only a sync hook may call it
+  /// (not a shard event, and not `fn` itself).
+  void for_each_shard(const std::function<void(std::size_t)>& fn);
 
   /// Legacy single-hook form: clears every registered hook, then (fn
   /// non-null) registers exactly one. set_sync_hook(t, nullptr) clears.
@@ -176,6 +190,8 @@ class ShardedSim {
   /// order.
   void run_hooks_at(std::int64_t boundary_ns);
 
+  /// Waits at the run's barrier, adding the wait to the shard's stall.
+  void wait_at_barrier(Shard& shard);
   /// Posts every queued inbound delivery into the shard's calendar.
   void drain_inbound(Shard& shard);
   void worker(std::size_t shard_index, util::SimTime t0, util::SimTime until,

@@ -126,7 +126,7 @@ struct ShardWorkloadResult {
   std::uint64_t ids_truth = 0;
   std::uint64_t ids_predicted = 0;
   std::uint64_t ids_windows = 0;
-  std::uint64_t ids_row_digest = 0;      // FNV over row feature bits, emit order
+  std::uint64_t ids_row_digest = 0;      // FNV fold of per-tap row FNVs, tap order
   std::uint64_t ids_verdict_digest = 0;  // FNV over verdicts, emit order
   std::string ids_action_log;            // VerdictPolicy log, joined lines
   // IDS perf + enforcement effects (never part of the equality surface) ---

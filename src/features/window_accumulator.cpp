@@ -152,9 +152,10 @@ std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& bat
 
 namespace {
 
+// `row(k)` is the first cell of output row k.
+template <typename RowAt>
 void fill_basic_columns(const capture::RecordBatch& batch, std::size_t begin,
-                        const std::uint32_t* order, std::vector<FeatureRow>& rows) {
-  const std::size_t n = rows.size();
+                        const std::uint32_t* order, std::size_t n, RowAt row) {
   const auto idx = [&](std::size_t k) {
     return order != nullptr ? static_cast<std::size_t>(order[k]) : begin + k;
   };
@@ -162,25 +163,25 @@ void fill_basic_columns(const capture::RecordBatch& batch, std::size_t begin,
   // one row slot — the vectorised twin of fill_basic_features.
   const auto& ts = batch.timestamp_ns();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kTimestamp] = static_cast<double>(ts[idx(k)]) * 1e-9;
+    row(k)[kTimestamp] = static_cast<double>(ts[idx(k)]) * 1e-9;
   const auto& src = batch.src_addr();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kSrcAddr] = static_cast<double>(src[idx(k)]) / 4294967296.0;
+    row(k)[kSrcAddr] = static_cast<double>(src[idx(k)]) / 4294967296.0;
   const auto& dst = batch.dst_addr();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kDstAddr] = static_cast<double>(dst[idx(k)]) / 4294967296.0;
+    row(k)[kDstAddr] = static_cast<double>(dst[idx(k)]) / 4294967296.0;
   const auto& proto = batch.protocol();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kProtoIsTcp] = proto[idx(k)] == 6 ? 1.0 : 0.0;
+    row(k)[kProtoIsTcp] = proto[idx(k)] == 6 ? 1.0 : 0.0;
   const auto& sport = batch.src_port();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kSrcPort] = static_cast<double>(sport[idx(k)]) / 65535.0;
+    row(k)[kSrcPort] = static_cast<double>(sport[idx(k)]) / 65535.0;
   const auto& dport = batch.dst_port();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kDstPort] = static_cast<double>(dport[idx(k)]) / 65535.0;
+    row(k)[kDstPort] = static_cast<double>(dport[idx(k)]) / 65535.0;
   const auto& payload = batch.payload_bytes();
   for (std::size_t k = 0; k < n; ++k)
-    rows[k][kPayloadBytes] = static_cast<double>(payload[idx(k)]);
+    row(k)[kPayloadBytes] = static_cast<double>(payload[idx(k)]);
 }
 
 }  // namespace
@@ -191,18 +192,21 @@ std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
   FeatureRow stamped{};
   stats.fill_row(stamped);
   std::vector<FeatureRow> rows(end - begin, stamped);
-  fill_basic_columns(batch, begin, nullptr, rows);
+  fill_basic_columns(batch, begin, nullptr, rows.size(),
+                     [&rows](std::size_t k) { return rows[k].data(); });
   return rows;
 }
 
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::span<const std::uint32_t> order,
-                                          const WindowStats& stats) {
+void make_feature_rows(const capture::RecordBatch& batch, std::span<const std::uint32_t> order,
+                       const WindowStats& stats, std::span<double> out) {
+  if (out.size() != order.size() * kFeatureCount)
+    throw std::invalid_argument("make_feature_rows: output is not order.size() rows");
   FeatureRow stamped{};
   stats.fill_row(stamped);
-  std::vector<FeatureRow> rows(order.size(), stamped);
-  fill_basic_columns(batch, 0, order.data(), rows);
-  return rows;
+  for (std::size_t k = 0; k < order.size(); ++k)
+    std::copy(stamped.begin(), stamped.end(), out.begin() + k * kFeatureCount);
+  fill_basic_columns(batch, 0, order.data(), order.size(),
+                     [&out](std::size_t k) { return out.data() + k * kFeatureCount; });
 }
 
 }  // namespace ddoshield::features

@@ -164,9 +164,10 @@ std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
                                           std::size_t begin, std::size_t end,
                                           const WindowStats& stats);
 
-/// Same, but emits rows in the given (absolute-index) order.
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::span<const std::uint32_t> order,
-                                          const WindowStats& stats);
+/// Same, but writes the rows for the given (absolute-index) order into
+/// `out`, row-major, kFeatureCount cells per row, with no temporaries.
+/// Throws std::invalid_argument unless `out` holds exactly those rows.
+void make_feature_rows(const capture::RecordBatch& batch, std::span<const std::uint32_t> order,
+                       const WindowStats& stats, std::span<double> out);
 
 }  // namespace ddoshield::features

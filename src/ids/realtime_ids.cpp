@@ -1,8 +1,8 @@
 #include "ids/realtime_ids.hpp"
 
 #include <algorithm>
-#include <map>
 
+#include "capture/flat_table.hpp"
 #include "features/schema.hpp"
 #include "obs/flight.hpp"
 #include "obs/latency.hpp"
@@ -13,20 +13,61 @@ namespace ddoshield::ids {
 
 using util::SimTime;
 
+namespace {
+
+bool src_less(const SourceVerdict& a, const SourceVerdict& b) { return a.src_addr < b.src_addr; }
+
+struct SrcHash {
+  std::size_t operator()(std::uint32_t v) const {
+    return static_cast<std::size_t>(capture::mix_u64(v));
+  }
+};
+
+}  // namespace
+
 std::vector<SourceVerdict> group_verdicts_by_source(std::span<const std::uint32_t> row_sources,
                                                     std::span<const int> verdicts) {
-  std::map<std::uint32_t, SourceVerdict> by_source;
+  // Hash each row to its source's slot, then sort only the unique sources:
+  // O(rows + uniques log uniques), with no node per source.
   const std::size_t rows = std::min(row_sources.size(), verdicts.size());
+  capture::FlatTable<std::uint32_t, std::uint32_t, SrcHash> slot_of{
+      std::min<std::size_t>(rows, 4096)};
+  std::vector<SourceVerdict> sources;
   for (std::size_t i = 0; i < rows; ++i) {
-    SourceVerdict& sv = by_source[row_sources[i]];
-    sv.src_addr = row_sources[i];
+    std::uint32_t& slot = slot_of.find_or_insert(row_sources[i]);  // 1-based; 0 = new
+    if (slot == 0) {
+      sources.push_back({.src_addr = row_sources[i]});
+      slot = static_cast<std::uint32_t>(sources.size());
+    }
+    SourceVerdict& sv = sources[slot - 1];
     ++sv.packets;
     sv.flagged += verdicts[i] != 0 ? 1u : 0u;
   }
-  std::vector<SourceVerdict> sources;
-  sources.reserve(by_source.size());
-  for (const auto& [addr, sv] : by_source) sources.push_back(sv);
+  std::sort(sources.begin(), sources.end(), src_less);
   return sources;
+}
+
+std::vector<SourceVerdict> merge_source_verdicts(
+    std::span<const std::span<const SourceVerdict>> slices) {
+  std::vector<SourceVerdict> out;
+  std::size_t total = 0;
+  for (const auto slice : slices) total += slice.size();
+  out.reserve(total);
+  for (const auto slice : slices) out.insert(out.end(), slice.begin(), slice.end());
+  // Slices over disjoint, ascending address blocks are already in order.
+  if (!std::is_sorted(out.begin(), out.end(), src_less))
+    std::sort(out.begin(), out.end(), src_less);
+  std::size_t kept = 0;
+  for (const SourceVerdict& sv : out) {
+    if (kept > 0 && out[kept - 1].src_addr == sv.src_addr) {
+      out[kept - 1].packets += sv.packets;
+      out[kept - 1].flagged += sv.flagged;
+    } else {
+      out[kept++] = sv;
+    }
+  }
+  out.resize(kept);
+  return out;
 }
 
 RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,

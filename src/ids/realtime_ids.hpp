@@ -54,6 +54,13 @@ struct SourceVerdict {
 std::vector<SourceVerdict> group_verdicts_by_source(std::span<const std::uint32_t> row_sources,
                                                     std::span<const int> verdicts);
 
+/// Merges slices that are each ascending by src_addr (as
+/// group_verdicts_by_source returns them) into one ascending slice,
+/// summing the counts of a source several slices share: the group-by of
+/// the slices' rows taken together.
+std::vector<SourceVerdict> merge_source_verdicts(
+    std::span<const std::span<const SourceVerdict>> slices);
+
 /// What the verdict bus publishes for every scored window. Carries only
 /// deterministic fields (no wall-clock measurements) so subscribers can
 /// write byte-identical action logs across same-seed runs.

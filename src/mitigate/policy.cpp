@@ -1,6 +1,7 @@
 #include "mitigate/policy.hpp"
 
 #include <cstdio>
+#include <iterator>
 
 #include "net/address.hpp"
 
@@ -73,15 +74,21 @@ bool VerdictPolicy::is_quarantined(std::uint32_t src_addr) const {
 }
 
 void VerdictPolicy::expire_acls(std::int64_t now_ns, std::uint64_t window_index) {
-  for (auto& [addr, st] : sources_) {
-    if (st.acl && st.acl_expires_ns <= now_ns) {
-      st.acl = false;
-      // Strikes are retained: a repeat offender re-blocks after one window
-      // (fail2ban-style), a reformed one climbs down via clean windows.
-      if (hooks_.remove_acl) hooks_.remove_acl(addr);
-      log_action(ActionType::kAclExpire, window_index, addr,
-                 static_cast<std::uint64_t>(cfg_.acl_ttl.ns()), now_ns);
+  // Walks only the ACL'd sources, in the same ascending order as sources_.
+  for (auto it = acl_sources_.begin(); it != acl_sources_.end();) {
+    const std::uint32_t addr = *it;
+    SourceState& st = sources_.find(addr)->second;
+    if (st.acl_expires_ns > now_ns) {
+      ++it;
+      continue;
     }
+    st.acl = false;
+    it = acl_sources_.erase(it);
+    // Strikes are retained: a repeat offender re-blocks after one window
+    // (fail2ban-style), a reformed one climbs down via clean windows.
+    if (hooks_.remove_acl) hooks_.remove_acl(addr);
+    log_action(ActionType::kAclExpire, window_index, addr,
+               static_cast<std::uint64_t>(cfg_.acl_ttl.ns()), now_ns);
   }
 }
 
@@ -95,12 +102,18 @@ void VerdictPolicy::process_event(const ids::WindowVerdictEvent& event,
     log_action(ActionType::kModelSwap, event.window_index, 0, event.model_version, now_ns);
     last_model_version_ = event.model_version;
   }
+  // event.sources ascends, so each source's state sits at or just past the
+  // previous one's: the hinted lookup is O(1) unless tracked sources absent
+  // from this window lie between them.
+  auto hint = sources_.begin();
   for (const auto& sv : event.sources) {
     // Never blocklist the protected service itself: the tap sees both
     // directions, so the victim's own responses share every flood window's
     // (flagged) statistical features.
     if (sv.src_addr == protected_addr_) continue;
-    SourceState& st = sources_[sv.src_addr];
+    const auto it = sources_.try_emplace(hint, sv.src_addr);
+    hint = std::next(it);
+    SourceState& st = it->second;
     if (st.quarantined) continue;
     const bool flagged =
         sv.packets >= cfg_.min_packets &&
@@ -128,6 +141,7 @@ void VerdictPolicy::escalate(std::uint32_t src_addr, SourceState& st,
       // The device is down; edge rules against it are dead weight.
       if (st.acl) {
         st.acl = false;
+        acl_sources_.erase(src_addr);
         if (hooks_.remove_acl) hooks_.remove_acl(src_addr);
         log_action(ActionType::kAclRelease, window_index, src_addr, 0, now_ns);
       }
@@ -145,6 +159,7 @@ void VerdictPolicy::escalate(std::uint32_t src_addr, SourceState& st,
   if (cfg_.enable_acl && st.strikes >= cfg_.strikes_to_acl) {
     if (!st.acl) {
       st.acl = true;
+      acl_sources_.insert(src_addr);
       st.acl_expires_ns = now_ns + cfg_.acl_ttl.ns();
       if (hooks_.install_acl) hooks_.install_acl(src_addr);
       log_action(ActionType::kAclInstall, window_index, src_addr,

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -142,11 +143,7 @@ class VerdictPolicy {
   bool is_quarantined(std::uint32_t src_addr) const;
   /// Sources currently behind an ACL / rate limit — the live enforcement
   /// footprint the survival telemetry probes graph over an attack.
-  std::size_t active_acls() const {
-    std::size_t n = 0;
-    for (const auto& [src, st] : sources_) n += st.acl;
-    return n;
-  }
+  std::size_t active_acls() const { return acl_sources_.size(); }
   std::size_t active_limits() const {
     std::size_t n = 0;
     for (const auto& [src, st] : sources_) n += st.limited;
@@ -174,6 +171,9 @@ class VerdictPolicy {
   std::uint64_t windows_processed_ = 0;
   std::uint64_t last_model_version_ = 1;  // logs kModelSwap on change
   std::map<std::uint32_t, SourceState> sources_;
+  /// The sources behind an ACL, ascending like sources_: expiry walks the
+  /// blocked sources, not every tracked one.
+  std::set<std::uint32_t> acl_sources_;
   ActionLog log_;
 };
 

@@ -137,6 +137,8 @@ Cnn1D::Cnn1D(CnnConfig config) : config_{config} {
   if (config_.filters == 0 || config_.hidden == 0) {
     throw std::invalid_argument("Cnn1D: filters and hidden must be > 0");
   }
+  // Training steps through the rows a batch at a time.
+  if (config_.batch_size == 0) throw std::invalid_argument("Cnn1D: batch_size must be > 0");
 }
 
 void Cnn1D::forward(std::span<const double> scaled, Activations& act) const {

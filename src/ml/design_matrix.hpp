@@ -25,6 +25,10 @@ class DesignMatrix {
 
   void reserve(std::size_t rows) { data_.reserve(rows * cols_); }
 
+  /// Sets the row count, keeping the allocation; rows past the old count
+  /// are zero. Lets a caller refill one matrix window after window.
+  void resize_rows(std::size_t rows) { data_.resize(rows * cols_); }
+
   void add_row(std::span<const double> row) {
     if (row.size() != cols_) {
       throw std::invalid_argument("DesignMatrix::add_row: wrong width");
@@ -48,6 +52,8 @@ class DesignMatrix {
   std::size_t byte_size() const { return data_.size() * sizeof(double); }
 
   const std::vector<double>& data() const { return data_; }
+  /// Row-major cells, for writers that fill whole rows in place.
+  std::span<double> mutable_data() { return data_; }
 
  private:
   std::size_t cols_ = 0;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/shard_ids.hpp"
@@ -208,6 +210,122 @@ TEST(SyncHookTest, MultiShardTwoHooksStayOnTheAbsoluteGrid) {
 }
 
 // --------------------------------------------------------------------------
+// ShardedSim::for_each_shard (the per-shard phases of a window close)
+// --------------------------------------------------------------------------
+
+// One node per shard, shard 0 linked to every other with a 3 ms delay, so
+// a multi-shard run has 3 ms lookahead windows.
+void add_star(ShardedSim& sim) {
+  auto& hub = sim.add_node(0, "hub", Ipv4Address{10, 0, 0, 1});
+  for (std::size_t s = 1; s < sim.shard_count(); ++s) {
+    auto& leaf =
+        sim.add_node(s, "leaf", Ipv4Address{10, 0, 0, static_cast<std::uint8_t>(s + 1)});
+    sim.connect(hub, leaf, LinkConfig{.delay = SimTime::millis(3)});
+  }
+}
+
+TEST(SyncHookTest, ForEachShardRunsOncePerShardOnItsOwnThread) {
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedSim sim{shard_cfg(shards)};
+    add_star(sim);
+    // Each shard's own thread, as seen by an event it executes.
+    std::vector<std::thread::id> event_thread(shards);
+    for (std::size_t s = 0; s < shards; ++s) {
+      sim.simulator(s).post_at(SimTime::millis(1), [&event_thread, s] {
+        event_thread[s] = std::this_thread::get_id();
+      });
+    }
+    // Each slot is written only by its own shard's call.
+    std::vector<int> calls(shards, 0);
+    std::vector<std::thread::id> task_thread(shards);
+    std::vector<int> calls_seen_by_hook;
+    sim.add_sync_hook(SimTime::millis(10), [&](SimTime) {
+      sim.for_each_shard([&](std::size_t s) {
+        ++calls[s];
+        task_thread[s] = std::this_thread::get_id();
+      });
+      // Every call has returned by now.
+      for (const int c : calls) calls_seen_by_hook.push_back(c);
+    });
+    sim.run_until(SimTime::millis(30));
+
+    EXPECT_EQ(calls, std::vector<int>(shards, 3));
+    EXPECT_EQ(calls_seen_by_hook.size(), 3 * shards);
+    for (std::size_t i = 0; i < calls_seen_by_hook.size(); ++i)
+      EXPECT_EQ(calls_seen_by_hook[i], static_cast<int>(i / shards) + 1);
+    for (std::size_t s = 0; s < shards; ++s) EXPECT_EQ(task_thread[s], event_thread[s]) << s;
+    if (shards == 1) {
+      EXPECT_EQ(task_thread[0], std::this_thread::get_id());
+    }
+
+    // Outside a run: every shard once, in order, on the calling thread.
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> threads;
+    sim.for_each_shard([&](std::size_t s) {
+      order.push_back(s);
+      threads.push_back(std::this_thread::get_id());
+    });
+    std::vector<std::size_t> expect(shards);
+    for (std::size_t s = 0; s < shards; ++s) expect[s] = s;
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(threads, std::vector<std::thread::id>(shards, std::this_thread::get_id()));
+  }
+}
+
+TEST(SyncHookTest, ForEachShardTaskExceptionStopsTheHookAndSurfaces) {
+  for (const std::size_t shards : {2u, 4u}) {
+    for (const std::size_t thrower : {std::size_t{0}, shards - 1}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " thrower=" + std::to_string(thrower));
+      ShardedSim sim{shard_cfg(shards)};
+      add_star(sim);
+      std::vector<int> calls(shards, 0);
+      int hook_finished = 0;
+      sim.add_sync_hook(SimTime::millis(10), [&](SimTime) {
+        sim.for_each_shard([&](std::size_t s) {
+          ++calls[s];
+          if (s == thrower) throw std::runtime_error("task boom");
+        });
+        ++hook_finished;
+      });
+      try {
+        sim.run_until(SimTime::millis(30));
+        ADD_FAILURE() << "run_until did not throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "task boom");
+      }
+      EXPECT_EQ(hook_finished, 0);
+      // The failing boundary still ran every shard's call exactly once, and
+      // the fleet skipped every later hook.
+      EXPECT_EQ(calls, std::vector<int>(shards, 1));
+    }
+  }
+}
+
+TEST(SyncHookTest, ForEachShardRejectsCallsFromATask) {
+  ShardedSim sim{shard_cfg(2)};
+  add_star(sim);
+  sim.add_sync_hook(SimTime::millis(10), [&sim](SimTime) {
+    sim.for_each_shard([&sim](std::size_t) { sim.for_each_shard([](std::size_t) {}); });
+  });
+  EXPECT_THROW(sim.run_until(SimTime::millis(20)), std::logic_error);
+}
+
+TEST(SyncHookTest, ForEachShardLeavesTheWindowCountAlone) {
+  // 3 ms lookahead over (0, 30 ms]: ten synchronisation windows, whether
+  // the hook fans work out to the shards or not.
+  for (const bool fan_out : {false, true}) {
+    ShardedSim sim{shard_cfg(4)};
+    add_star(sim);
+    sim.add_sync_hook(SimTime::millis(10), [&sim, fan_out](SimTime) {
+      if (fan_out) sim.for_each_shard([](std::size_t) {});
+    });
+    sim.run_until(SimTime::millis(30));
+    EXPECT_EQ(sim.windows(), 10u) << "fan_out=" << fan_out;
+  }
+}
+
+// --------------------------------------------------------------------------
 // Sharded IDS pipeline on the clustered workload
 // --------------------------------------------------------------------------
 
@@ -289,21 +407,20 @@ TEST(ShardIdsTest, DetectionSurfaceIsInvariantUnderEnforcement) {
 
 TEST(ShardIdsTest, FlushClosesAFinalPartialWindow) {
   // Traffic stops at 220ms, run ends at 250ms: boundaries at 100/200ms
-  // close via the hook, the (200, 250] remainder only via flush().
-  ShardWorkloadConfig cfg = ids_workload(2, 5);
+  // close via the hook, the (200, 250] remainder only via flush(), which
+  // runs the per-shard phases serially (outside run_until).
+  ShardWorkloadConfig cfg = ids_workload(1, 5);
   cfg.duration = SimTime::millis(250);
   cfg.drain_margin = SimTime::millis(30);
-  const ShardWorkloadResult r = run_shard_workload(cfg);
-  EXPECT_TRUE(r.conservation_ok) << r.conservation_error;
-  EXPECT_EQ(r.ids_windows, 3u);
-  EXPECT_EQ(r.ids_rows, r.upstream_sent + r.gossip_sent + r.flood_sent);
-
-  const ShardWorkloadResult single = [&cfg] {
-    ShardWorkloadConfig one = cfg;
-    one.shard_count = 1;
-    return run_shard_workload(one);
-  }();
-  expect_ids_surface_eq(single, r, "flush-window");
+  const ShardWorkloadResult single = run_shard_workload(cfg);
+  for (const std::size_t shards : {2u, 4u}) {
+    cfg.shard_count = shards;
+    const ShardWorkloadResult r = run_shard_workload(cfg);
+    EXPECT_TRUE(r.conservation_ok) << r.conservation_error;
+    EXPECT_EQ(r.ids_windows, 3u);
+    EXPECT_EQ(r.ids_rows, r.upstream_sent + r.gossip_sent + r.flood_sent);
+    expect_ids_surface_eq(single, r, "flush-window");
+  }
 }
 
 // Stress shape for the TSan job: enough shards, devices, and batch churn

@@ -202,13 +202,15 @@ TEST(MakeFeatureRowsTest, OrderedVariantEmitsInGivenOrder) {
   std::vector<std::uint32_t> order;
   for (std::uint32_t i = static_cast<std::uint32_t>(batch.size()); i-- > 0;)
     order.push_back(i);
-  const auto rows = make_feature_rows(batch, order, stats);
-  ASSERT_EQ(rows.size(), order.size());
+  std::vector<double> rows(order.size() * kFeatureCount, -1.0);
+  make_feature_rows(batch, order, stats, rows);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const FeatureRow expect = make_feature_row(packets[order[i]], stats);
     for (std::size_t f = 0; f < kFeatureCount; ++f)
-      EXPECT_DOUBLE_EQ(rows[i][f], expect[f]);
+      EXPECT_DOUBLE_EQ(rows[i * kFeatureCount + f], expect[f]);
   }
+  std::vector<double> short_by_one(rows.size() - 1);
+  EXPECT_THROW(make_feature_rows(batch, order, stats, short_by_one), std::invalid_argument);
 }
 
 TEST(CanonicalBatchOrderTest, SortsWithinTimestampRunsOnly) {

@@ -1,6 +1,11 @@
 // Tests for the real-time IDS unit: windowing, scoring, resource metering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
+#include <vector>
+
 #include "capture/tap.hpp"
 #include "container/runtime.hpp"
 #include "ids/realtime_ids.hpp"
@@ -256,6 +261,119 @@ TEST_P(IdsAccuracySweep, WindowAccuracyMatchesStub) {
 
 INSTANTIATE_TEST_SUITE_P(MaliciousFractions, IdsAccuracySweep,
                          ::testing::Values(0, 1, 3, 5, 9, 10));
+
+// --------------------------------------------------------------------------
+// Per-source verdict group-by and the per-tap slice merge
+// --------------------------------------------------------------------------
+
+// The std::map group-by that group_verdicts_by_source replaced, kept as
+// its oracle.
+std::vector<SourceVerdict> group_by_map(std::span<const std::uint32_t> row_sources,
+                                        std::span<const int> verdicts) {
+  std::map<std::uint32_t, SourceVerdict> by_source;
+  const std::size_t rows = std::min(row_sources.size(), verdicts.size());
+  for (std::size_t i = 0; i < rows; ++i) {
+    SourceVerdict& sv = by_source[row_sources[i]];
+    sv.src_addr = row_sources[i];
+    ++sv.packets;
+    sv.flagged += verdicts[i] != 0 ? 1u : 0u;
+  }
+  std::vector<SourceVerdict> sources;
+  for (const auto& [addr, sv] : by_source) sources.push_back(sv);
+  return sources;
+}
+
+void expect_same_sources(const std::vector<SourceVerdict>& got,
+                         const std::vector<SourceVerdict>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].src_addr, want[i].src_addr) << i;
+    EXPECT_EQ(got[i].packets, want[i].packets) << i;
+    EXPECT_EQ(got[i].flagged, want[i].flagged) << i;
+  }
+}
+
+// Random rows: unsorted, sorted, or with every row repeated; sources drawn
+// from a few addresses, a few hundred, or the whole 32-bit space.
+struct RandomRows {
+  std::vector<std::uint32_t> sources;
+  std::vector<int> verdicts;
+};
+
+RandomRows random_rows(Rng& rng, std::size_t rows) {
+  static constexpr std::uint64_t kSpreads[] = {3, 400, 1ull << 32};
+  const std::uint64_t spread = kSpreads[rng.uniform_u64(3)];
+  const std::uint32_t base = static_cast<std::uint32_t>(rng.uniform_u64(1ull << 31));
+  RandomRows out;
+  for (std::size_t i = 0; i < rows; ++i) {
+    out.sources.push_back(base + static_cast<std::uint32_t>(rng.uniform_u64(spread)));
+    // Any non-zero verdict counts as flagged.
+    out.verdicts.push_back(static_cast<int>(rng.uniform_int(-1, 2)));
+  }
+  switch (rng.uniform_u64(3)) {
+    case 0: break;
+    case 1: std::sort(out.sources.begin(), out.sources.end()); break;
+    default:
+      out.sources.insert(out.sources.end(), out.sources.begin(), out.sources.end());
+      out.verdicts.insert(out.verdicts.end(), out.verdicts.begin(), out.verdicts.end());
+  }
+  return out;
+}
+
+TEST(GroupVerdictsTest, MatchesTheMapOracleOnRandomRows) {
+  Rng rng{2024};
+  for (int trial = 0; trial < 300; ++trial) {
+    const RandomRows r = random_rows(rng, rng.uniform_u64(5000));
+    expect_same_sources(group_verdicts_by_source(r.sources, r.verdicts),
+                        group_by_map(r.sources, r.verdicts));
+  }
+}
+
+TEST(GroupVerdictsTest, EmptyAndShortInputs) {
+  EXPECT_TRUE(group_verdicts_by_source({}, {}).empty());
+  // Only rows with both a source and a verdict count.
+  const std::vector<std::uint32_t> sources{7, 3, 7};
+  const std::vector<int> verdicts{1, 0};
+  expect_same_sources(group_verdicts_by_source(sources, verdicts),
+                      {{.src_addr = 3, .packets = 1, .flagged = 0},
+                       {.src_addr = 7, .packets = 1, .flagged = 1}});
+}
+
+TEST(MergeSourceVerdictsTest, EqualsTheGroupByOfAllRows) {
+  // Taps share sources here (a spoofed flood can reach several), so the
+  // merge must combine them; disjoint ascending taps take the fast path.
+  Rng rng{99};
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t taps = 1 + rng.uniform_u64(8);
+    std::vector<RandomRows> per_tap;
+    std::vector<std::vector<SourceVerdict>> slices;
+    RandomRows all;
+    for (std::size_t t = 0; t < taps; ++t) {
+      per_tap.push_back(random_rows(rng, rng.uniform_u64(600)));
+      const RandomRows& r = per_tap.back();
+      slices.push_back(group_verdicts_by_source(r.sources, r.verdicts));
+      const std::size_t rows = std::min(r.sources.size(), r.verdicts.size());
+      all.sources.insert(all.sources.end(), r.sources.begin(), r.sources.begin() + rows);
+      all.verdicts.insert(all.verdicts.end(), r.verdicts.begin(), r.verdicts.begin() + rows);
+    }
+    const std::vector<std::span<const SourceVerdict>> views{slices.begin(), slices.end()};
+    expect_same_sources(merge_source_verdicts(views), group_by_map(all.sources, all.verdicts));
+  }
+}
+
+TEST(MergeSourceVerdictsTest, CombinesASourceTwoTapsShare) {
+  const std::vector<SourceVerdict> a{{.src_addr = 1, .packets = 2, .flagged = 1},
+                                     {.src_addr = 5, .packets = 3, .flagged = 3}};
+  const std::vector<SourceVerdict> b{{.src_addr = 2, .packets = 1, .flagged = 0},
+                                     {.src_addr = 5, .packets = 4, .flagged = 1}};
+  const std::vector<SourceVerdict> empty;
+  const std::vector<std::span<const SourceVerdict>> views{a, empty, b};
+  expect_same_sources(merge_source_verdicts(views),
+                      {{.src_addr = 1, .packets = 2, .flagged = 1},
+                       {.src_addr = 2, .packets = 1, .flagged = 0},
+                       {.src_addr = 5, .packets = 7, .flagged = 4}});
+  EXPECT_TRUE(merge_source_verdicts({}).empty());
+}
 
 }  // namespace
 }  // namespace ddoshield::ids

@@ -6,9 +6,12 @@
 // defended runs produce byte-identical action logs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/testbed.hpp"
@@ -19,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/survival.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/rng.hpp"
 
 namespace ddoshield::mitigate {
 namespace {
@@ -140,6 +144,73 @@ TEST(ActionLogTest, LinesAreIntegerOnlyAndStable) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.lines().size(), 2u);
   EXPECT_NE(log.joined().find("acl_expire"), std::string::npos);
+}
+
+// --------------------------------------------------------------------------
+// VerdictPolicy on a random event stream
+// --------------------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(VerdictPolicyTest, RandomEventStreamReplaysTheRecordedActionLog) {
+  // Every rung of the ladder, ACL expiry and probation on a seeded stream
+  // of windows whose sources mostly ascend (as the IDS pipelines publish
+  // them) but are sometimes shuffled or repeated. The log length and digest
+  // were recorded from the std::map-lookup policy with a full-walk expiry;
+  // the hinted lookups and the ACL index must reproduce them exactly.
+  MitigationConfig cfg;
+  cfg.enable_quarantine = true;
+  cfg.min_packets = 4;
+  cfg.acl_ttl = SimTime::millis(700);
+  const std::uint32_t protected_addr = 120;
+  VerdictPolicy policy{cfg, protected_addr};
+  VerdictPolicy::Hooks hooks;
+  std::size_t hook_calls = 0;
+  hooks.install_acl = [&hook_calls](std::uint32_t) { ++hook_calls; };
+  hooks.remove_acl = [&hook_calls](std::uint32_t) { ++hook_calls; };
+  hooks.install_limit = [&hook_calls](std::uint32_t, double, double) { ++hook_calls; };
+  hooks.remove_limit = [&hook_calls](std::uint32_t) { ++hook_calls; };
+  hooks.quarantine = [](std::uint32_t src) { return src % 5 == 0; };
+  policy.set_hooks(std::move(hooks));
+
+  util::Rng rng{31};
+  for (std::uint64_t w = 0; w < 400; ++w) {
+    const std::int64_t now = static_cast<std::int64_t>(w + 1) * SimTime::millis(100).ns();
+    policy.expire_acls(now, w);
+    std::vector<std::uint32_t> addrs;
+    const std::size_t count = rng.uniform_u64(60);
+    for (std::size_t k = 0; k < count; ++k)
+      addrs.push_back(100 + static_cast<std::uint32_t>(rng.uniform_u64(300)));
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+    if (w % 10 == 9) rng.shuffle(addrs);
+    if (w % 13 == 12 && !addrs.empty()) addrs.push_back(addrs.front());
+    ids::WindowVerdictEvent event;
+    event.window_index = w;
+    for (const std::uint32_t a : addrs) {
+      ids::SourceVerdict sv{.src_addr = a,
+                            .packets = static_cast<std::uint32_t>(rng.uniform_u64(20))};
+      // Low addresses flood more often, so every rung gets climbed.
+      const bool hot = a < 180 && rng.bernoulli(0.7);
+      sv.flagged = hot ? sv.packets : static_cast<std::uint32_t>(rng.uniform_u64(sv.packets + 1));
+      event.sources.push_back(sv);
+    }
+    policy.process_event(event, now);
+    if (w % 7 == 6) policy.rejoin(100 + static_cast<std::uint32_t>(rng.uniform_u64(300)), w, now);
+  }
+  EXPECT_EQ(policy.action_log().size(), 6555u);
+  EXPECT_EQ(fnv1a(policy.action_log().joined()), 6940615250353723279u);
+  EXPECT_EQ(policy.sources_tracked(), 299u);
+  EXPECT_EQ(policy.active_acls(), 37u);
+  EXPECT_EQ(policy.active_limits(), 41u);
+  EXPECT_EQ(hook_calls, 6492u);
 }
 
 // --------------------------------------------------------------------------

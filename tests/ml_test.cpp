@@ -510,6 +510,12 @@ TEST(CnnTest, Validation) {
   EXPECT_THROW(cnn.fit(DesignMatrix{}, {}), std::invalid_argument);
 }
 
+TEST(CnnTest, RejectsZeroBatchSize) {
+  // A zero batch would never advance the training loop.
+  EXPECT_THROW(Cnn1D(CnnConfig{.batch_size = 0}), std::invalid_argument);
+  EXPECT_NO_THROW(Cnn1D(CnnConfig{.batch_size = 1}));
+}
+
 TEST(CnnTest, SerializationRoundTrip) {
   DesignMatrix x{6};
   std::vector<int> y;

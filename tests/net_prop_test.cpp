@@ -26,6 +26,13 @@ struct TransferParams {
   std::uint32_t queue_bytes;
 };
 
+// Names each case by its parameters (…/1460B_10Mbps_1ms_q65536), so the
+// ctest names hold no struct padding and stay the same from build to build.
+void PrintTo(const TransferParams& p, std::ostream* os) {
+  *os << p.bytes << "B_" << static_cast<long>(p.rate_bps / 1e6) << "Mbps_" << p.delay_ms
+      << "ms_q" << p.queue_bytes;
+}
+
 class TcpTransferSweep : public ::testing::TestWithParam<TransferParams> {};
 
 TEST_P(TcpTransferSweep, DeliversExactByteCount) {
