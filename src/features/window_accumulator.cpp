@@ -150,63 +150,38 @@ std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& bat
   return order;
 }
 
-namespace {
-
-// `row(k)` is the first cell of output row k.
-template <typename RowAt>
-void fill_basic_columns(const capture::RecordBatch& batch, std::size_t begin,
-                        const std::uint32_t* order, std::size_t n, RowAt row) {
-  const auto idx = [&](std::size_t k) {
-    return order != nullptr ? static_cast<std::size_t>(order[k]) : begin + k;
-  };
-  // One sweep per column: each pass reads one contiguous array and writes
-  // one row slot — the vectorised twin of fill_basic_features.
-  const auto& ts = batch.timestamp_ns();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kTimestamp] = static_cast<double>(ts[idx(k)]) * 1e-9;
-  const auto& src = batch.src_addr();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kSrcAddr] = static_cast<double>(src[idx(k)]) / 4294967296.0;
-  const auto& dst = batch.dst_addr();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kDstAddr] = static_cast<double>(dst[idx(k)]) / 4294967296.0;
-  const auto& proto = batch.protocol();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kProtoIsTcp] = proto[idx(k)] == 6 ? 1.0 : 0.0;
-  const auto& sport = batch.src_port();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kSrcPort] = static_cast<double>(sport[idx(k)]) / 65535.0;
-  const auto& dport = batch.dst_port();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kDstPort] = static_cast<double>(dport[idx(k)]) / 65535.0;
-  const auto& payload = batch.payload_bytes();
-  for (std::size_t k = 0; k < n; ++k)
-    row(k)[kPayloadBytes] = static_cast<double>(payload[idx(k)]);
-}
-
-}  // namespace
-
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::size_t begin, std::size_t end,
-                                          const WindowStats& stats) {
-  FeatureRow stamped{};
-  stats.fill_row(stamped);
-  std::vector<FeatureRow> rows(end - begin, stamped);
-  fill_basic_columns(batch, begin, nullptr, rows.size(),
-                     [&rows](std::size_t k) { return rows[k].data(); });
-  return rows;
-}
-
 void make_feature_rows(const capture::RecordBatch& batch, std::span<const std::uint32_t> order,
                        const WindowStats& stats, std::span<double> out) {
   if (out.size() != order.size() * kFeatureCount)
     throw std::invalid_argument("make_feature_rows: output is not order.size() rows");
+  const std::size_t n = order.size();
+  const auto row = [&out](std::size_t k) { return out.data() + k * kFeatureCount; };
   FeatureRow stamped{};
   stats.fill_row(stamped);
-  for (std::size_t k = 0; k < order.size(); ++k)
-    std::copy(stamped.begin(), stamped.end(), out.begin() + k * kFeatureCount);
-  fill_basic_columns(batch, 0, order.data(), order.size(),
-                     [&out](std::size_t k) { return out.data() + k * kFeatureCount; });
+  for (std::size_t k = 0; k < n; ++k) std::copy(stamped.begin(), stamped.end(), row(k));
+  // One sweep per column: each pass reads one contiguous array and writes
+  // one row slot — the vectorised twin of fill_basic_features.
+  const auto& ts = batch.timestamp_ns();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kTimestamp] = static_cast<double>(ts[order[k]]) * 1e-9;
+  const auto& src = batch.src_addr();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kSrcAddr] = static_cast<double>(src[order[k]]) / 4294967296.0;
+  const auto& dst = batch.dst_addr();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kDstAddr] = static_cast<double>(dst[order[k]]) / 4294967296.0;
+  const auto& proto = batch.protocol();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kProtoIsTcp] = proto[order[k]] == 6 ? 1.0 : 0.0;
+  const auto& sport = batch.src_port();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kSrcPort] = static_cast<double>(sport[order[k]]) / 65535.0;
+  const auto& dport = batch.dst_port();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kDstPort] = static_cast<double>(dport[order[k]]) / 65535.0;
+  const auto& payload = batch.payload_bytes();
+  for (std::size_t k = 0; k < n; ++k)
+    row(k)[kPayloadBytes] = static_cast<double>(payload[order[k]]);
 }
 
 }  // namespace ddoshield::features

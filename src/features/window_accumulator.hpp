@@ -157,16 +157,12 @@ bool record_content_less(const capture::PacketRecord& a, const capture::PacketRe
 std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& batch,
                                                  std::size_t begin, std::size_t end);
 
-/// Vectorised row building: one FeatureRow per batch row in [begin, end),
-/// the statistical block stamped once and the basic block filled in
-/// per-column sweeps (bit-identical to make_feature_row per row).
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::size_t begin, std::size_t end,
-                                          const WindowStats& stats);
-
-/// Same, but writes the rows for the given (absolute-index) order into
-/// `out`, row-major, kFeatureCount cells per row, with no temporaries.
-/// Throws std::invalid_argument unless `out` holds exactly those rows.
+/// Vectorised row building, in place: writes one row per entry of `order`
+/// (absolute batch indices) into `out`, row-major, kFeatureCount cells per
+/// row, with no temporaries. The statistical block is stamped once and the
+/// basic block filled in per-column sweeps (bit-identical to
+/// make_feature_row per row). Throws std::invalid_argument unless `out`
+/// holds exactly those rows.
 void make_feature_rows(const capture::RecordBatch& batch, std::span<const std::uint32_t> order,
                        const WindowStats& stats, std::span<double> out);
 

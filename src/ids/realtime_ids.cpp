@@ -1,6 +1,7 @@
 #include "ids/realtime_ids.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "capture/flat_table.hpp"
 #include "features/schema.hpp"
@@ -82,10 +83,6 @@ RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,
   if (config_.window <= SimTime{}) {
     throw std::invalid_argument("RealTimeIds: window must be positive");
   }
-  if (config_.offload_inference) {
-    engine_ = std::make_unique<InferenceEngine>(
-        *model_, InferEngineConfig{config_.infer_ring_capacity});
-  }
   if (config_.lifecycle.enabled) {
     lifecycle_ = std::make_unique<ml::lifecycle::LifecycleManager>(
         *model_, features::kFeatureCount, config_.lifecycle);
@@ -106,8 +103,6 @@ RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,
   lat_detect_benign_ = &lat.series("flight." + model_->name() + ".detect_lag_ns.benign");
   lat_detect_attack_ = &lat.series("flight." + model_->name() + ".detect_lag_ns.attack");
   lat_infer_batch_ = &lat.series("flight.ids.infer_batch_ns");
-  lat_infer_wait_ = &lat.series("flight.ids.infer_wait_ns");
-  lat_ring_wait_ = &lat.series("flight.ids.ring_wait_ns");
 }
 
 void RealTimeIds::attach_tap(capture::PacketTap& tap) {
@@ -160,21 +155,19 @@ void RealTimeIds::on_batch(const capture::RecordBatch& batch) {
 }
 
 void RealTimeIds::close_window() {
-  // Wall-clock cost of the whole close (features + rows + submit/score):
+  // Wall-clock cost of the whole close (features + rows + score + report):
   // the boundary-spike quantity EXPERIMENTS.md tables as p99 close latency.
   std::uint64_t close_ns = 0;
   obs::ScopedTimer close_timer{*m_window_close_ns_, close_ns};
 
-  // Apply a due hot-swap before anything else — including the empty-window
-  // early return — so both inline and offload mode switch models at the
-  // exact same window boundary (the swap schedule is sim-domain data).
+  // Apply a due hot-swap before anything else, including the empty-window
+  // early return, so the swap lands at the window boundary the sim-domain
+  // swap schedule names.
   if (lifecycle_) {
-    if (auto swapped = lifecycle_->maybe_swap(current_window_)) {
-      owned_model_ = std::move(swapped);
-      model_ = owned_model_.get();
-    }
+    lifecycle_->maybe_swap(current_window_);
     m_model_version_->set(static_cast<double>(lifecycle_->version()));
   }
+  const ml::Classifier& model = served_model();
 
   // Pull the partial batch sitting in each tap so the window's final
   // records don't straddle the boundary. Records captured at exactly the
@@ -184,96 +177,57 @@ void RealTimeIds::close_window() {
   for (capture::PacketTap* tap : taps_) tap->flush_batch();
 
   const std::size_t rows = wbuf_.size();
-  if (rows == 0) {
-    if (engine_) drain_completed(/*block=*/false);
-    return;
-  }
+  if (rows == 0) return;
 
-  PendingWindow pending;
-  WindowReport& report = pending.report;
+  WindowReport report;
   report.window_index = current_window_;
-  report.model_version = lifecycle_ ? lifecycle_->version() : 1;
+  report.model_version = model_version();
   report.window_start =
       SimTime::nanos(static_cast<std::int64_t>(current_window_) * config_.window.ns());
   report.packets = rows;
 
   // --- preprocessing: statistical features over the window (measured) -----
-  features::WindowStats stats;
-  ml::DesignMatrix x{features::kFeatureCount};
   {
     obs::ScopedTimer timer{*m_feature_ns_, report.cpu_feature_ns};
     // O(uniques) finalize of the incrementally-folded tallies, then
-    // column-wise row building — no per-packet recompute at the edge.
-    stats = acc_.finalize(config_.window);
-    x.reserve(rows);
-    for (const auto& row : features::make_feature_rows(wbuf_, 0, rows, stats)) {
-      x.add_row(row);
-    }
+    // column-wise rows written in place, in arrival order — no per-packet
+    // recompute at the edge.
+    const features::WindowStats stats = acc_.finalize(config_.window);
+    order_.resize(rows);
+    std::iota(order_.begin(), order_.end(), 0u);
+    x_.resize_rows(rows);
+    features::make_feature_rows(wbuf_, order_, stats, x_.mutable_data());
   }
-  pending.truths.reserve(rows);
-  for (std::size_t i = 0; i < rows; ++i) pending.truths.push_back(wbuf_.is_malicious(i) ? 1 : 0);
-  if (verdict_sink_) pending.row_sources = wbuf_.src_addr();
-  pending.samples = std::move(window_samples_);
-  window_samples_.clear();
+  truths_.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) truths_[i] = wbuf_.is_malicious(i) ? 1 : 0;
 
   // Feed the lifecycle after the swap check: this window may *trigger* a
   // retrain, but the earliest it can land is apply_latency_windows later.
   if (lifecycle_) {
-    lifecycle_->observe_window(current_window_, x, pending.truths);
+    lifecycle_->observe_window(current_window_, x_, truths_);
     lifecycle_->publish_metrics();
   }
 
-  wbuf_.clear();
-  acc_.reset();
-  m_backlog_->set(0.0);
-
-  pending.close_sim_ns = sim().now().ns();
-  pending.close_wall_ns = flight_->wall_now_ns();
+  const std::int64_t close_sim_ns = sim().now().ns();
+  const std::int64_t close_wall_ns = flight_->wall_now_ns();
   if (flight_->enabled()) {
-    flight_->record(obs::FlightStage::kWindowClose, report.window_index,
-                    pending.close_sim_ns, pending.close_wall_ns, report.packets);
+    flight_->record(obs::FlightStage::kWindowClose, report.window_index, close_sim_ns,
+                    close_wall_ns, rows);
+    flight_->record(obs::FlightStage::kInferSubmit, report.window_index, close_sim_ns,
+                    flight_->wall_now_ns(), rows);
   }
 
   // --- detection: batched inference over the window's matrix --------------
-  if (engine_) {
-    pending.submit_wall_ns = flight_->wall_now_ns();
-    if (flight_->enabled()) {
-      flight_->record(obs::FlightStage::kInferSubmit, report.window_index,
-                      sim().now().ns(), pending.submit_wall_ns, rows);
-    }
-    pending_.push_back(std::move(pending));
-    // owned_model_ is null until the first swap: the job then scores with
-    // the engine's construction-time model, exactly like inline mode.
-    engine_->submit(std::move(x), owned_model_);
-    drain_completed(/*block=*/false);
-    return;
-  }
-  pending.submit_wall_ns = flight_->wall_now_ns();
-  if (flight_->enabled()) {
-    flight_->record(obs::FlightStage::kInferSubmit, report.window_index,
-                    sim().now().ns(), pending.submit_wall_ns, rows);
-  }
-  std::uint64_t inference_ns = 0;
-  ml::Verdicts verdicts;
   {
-    obs::ScopedTimer timer{inference_ns};
-    model_->score_batch(x, verdicts);
+    obs::ScopedTimer timer{*m_inference_ns_, report.cpu_inference_ns};
+    model.score_batch(x_, verdicts_);
   }
-  finalize_window(std::move(pending), verdicts, inference_ns, /*queue_wait_ns=*/0);
-}
-
-void RealTimeIds::finalize_window(PendingWindow&& pending, const ml::Verdicts& verdicts,
-                                  std::uint64_t inference_ns, std::uint64_t queue_wait_ns) {
-  WindowReport report = pending.report;
-  report.cpu_inference_ns = inference_ns;
-  m_inference_ns_->observe(inference_ns);
 
   ml::ConfusionMatrix window_cm;
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    window_cm.add(pending.truths[i], verdicts[i]);
-    confusion_.add(pending.truths[i], verdicts[i]);
+  for (std::size_t i = 0; i < rows; ++i) {
+    window_cm.add(truths_[i], verdicts_[i]);
+    confusion_.add(truths_[i], verdicts_[i]);
   }
-
   report.truth_malicious = window_cm.tp() + window_cm.fn();
   report.predicted_malicious = window_cm.tp() + window_cm.fp();
   report.accuracy = window_cm.accuracy();
@@ -289,31 +243,21 @@ void RealTimeIds::finalize_window(PendingWindow&& pending, const ml::Verdicts& v
 
   if (flight_->enabled()) {
     const std::int64_t verdict_wall = flight_->wall_now_ns();
-    flight_->record(obs::FlightStage::kInferComplete, report.window_index,
-                    sim().now().ns(), verdict_wall, verdicts.size());
-    flight_->record(obs::FlightStage::kVerdict, report.window_index, sim().now().ns(),
+    flight_->record(obs::FlightStage::kInferComplete, report.window_index, close_sim_ns,
+                    verdict_wall, rows);
+    flight_->record(obs::FlightStage::kVerdict, report.window_index, close_sim_ns,
                     verdict_wall, report.predicted_malicious);
 
-    // Stage attribution. The batch kernel's own time and any wait around
-    // it (ring sit + result sit in offload mode; ~0 inline) come from the
-    // wall clock; the end-to-end detection lag of each sampled packet
-    // composes a sim-domain part (tap to window close — queueing plus
-    // buffering, deterministic) with a wall-domain part (window close to
-    // verdict — the real compute cost the simulation never models).
-    lat_infer_batch_->observe(inference_ns);
-    if (queue_wait_ns > 0) lat_ring_wait_->observe(queue_wait_ns);
-    const std::int64_t around =
-        verdict_wall > pending.submit_wall_ns ? verdict_wall - pending.submit_wall_ns : 0;
-    const std::uint64_t wait =
-        static_cast<std::uint64_t>(around) > inference_ns
-            ? static_cast<std::uint64_t>(around) - inference_ns
-            : 0;
-    lat_infer_wait_->observe(wait);
+    // Stage attribution. The batch kernel's own time comes from the wall
+    // clock; the end-to-end detection lag of each sampled packet composes
+    // a sim-domain part (tap to window close — queueing plus buffering,
+    // deterministic) with a wall-domain part (window close to verdict —
+    // the real compute cost the simulation never models).
+    lat_infer_batch_->observe(report.cpu_inference_ns);
     const std::int64_t wall_part =
-        verdict_wall > pending.close_wall_ns ? verdict_wall - pending.close_wall_ns : 0;
-    for (const WindowSample& s : pending.samples) {
-      const std::int64_t sim_part =
-          pending.close_sim_ns > s.tap_sim_ns ? pending.close_sim_ns - s.tap_sim_ns : 0;
+        verdict_wall > close_wall_ns ? verdict_wall - close_wall_ns : 0;
+    for (const WindowSample& s : window_samples_) {
+      const std::int64_t sim_part = close_sim_ns > s.tap_sim_ns ? close_sim_ns - s.tap_sim_ns : 0;
       const std::uint64_t lag = static_cast<std::uint64_t>(sim_part + wall_part);
       (s.malicious ? lat_detect_attack_ : lat_detect_benign_)->observe(lag);
     }
@@ -321,7 +265,7 @@ void RealTimeIds::finalize_window(PendingWindow&& pending, const ml::Verdicts& v
 
   auto& trace = obs::TraceRecorder::global();
   if (trace.enabled()) {
-    trace.span("ids.window." + model_->name(), "ids", report.window_start, config_.window);
+    trace.span("ids.window." + model.name(), "ids", report.window_start, config_.window);
   }
 
   if (verdict_sink_) {
@@ -331,42 +275,14 @@ void RealTimeIds::finalize_window(PendingWindow&& pending, const ml::Verdicts& v
     event.packets = report.packets;
     event.predicted_malicious = report.predicted_malicious;
     event.model_version = report.model_version;
-    event.sources = group_verdicts_by_source(pending.row_sources, verdicts);
+    event.sources = group_verdicts_by_source(wbuf_.src_addr(), verdicts_);
     verdict_sink_(event);
   }
-}
 
-void RealTimeIds::finalize_windows_through(std::uint64_t through) {
-  if (!engine_) return;  // inline mode: verdicts were published at the tick
-  while (!pending_.empty() && pending_.front().report.window_index <= through) {
-    // Blocking collect: wall-clock wait, zero sim-time cost — the verdict
-    // *content* and the sim time it becomes visible stay deterministic.
-    InferResult result = engine_->collect();
-    PendingWindow pending = std::move(pending_.front());
-    pending_.pop_front();
-    finalize_window(std::move(pending), result.verdicts, result.inference_ns,
-                    result.queue_wait_ns);
-  }
-  engine_->publish_metrics();
-}
-
-void RealTimeIds::drain_completed(bool block) {
-  if (!engine_) return;
-  InferResult result;
-  while (engine_->outstanding() > 0) {
-    if (block) {
-      result = engine_->collect();
-    } else if (!engine_->try_collect(result)) {
-      break;
-    }
-    // Single FIFO worker: results arrive in submission order, so the
-    // oldest pending window is always the one this result scores.
-    PendingWindow pending = std::move(pending_.front());
-    pending_.pop_front();
-    finalize_window(std::move(pending), result.verdicts, result.inference_ns,
-                    result.queue_wait_ns);
-  }
-  engine_->publish_metrics();
+  wbuf_.clear();
+  acc_.reset();
+  window_samples_.clear();
+  m_backlog_->set(0.0);
 }
 
 void RealTimeIds::flush() {
@@ -374,7 +290,6 @@ void RealTimeIds::flush() {
   // (partial) window; close_window's own flush is then a no-op.
   for (capture::PacketTap* tap : taps_) tap->flush_batch();
   if (!wbuf_.empty()) close_window();
-  if (engine_) drain_completed(/*block=*/true);
 }
 
 IdsSummary RealTimeIds::summarize() const {
@@ -397,7 +312,7 @@ IdsSummary RealTimeIds::summarize() const {
   s.cpu_percent = cpu_fraction_sum / static_cast<double>(reports_.size());
 
   const double scratch =
-      static_cast<double>(model_->inference_scratch_bytes()) *
+      static_cast<double>(served_model().inference_scratch_bytes()) *
       static_cast<double>(config_.meter.inference_chunk);
   const double row_buffer =
       static_cast<double>(config_.meter.inference_chunk) *

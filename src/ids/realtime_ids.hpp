@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -21,11 +20,12 @@
 #include "capture/packet_record.hpp"
 #include "capture/record_batch.hpp"
 #include "capture/tap.hpp"
+#include "features/schema.hpp"
 #include "features/window_accumulator.hpp"
 #include "features/window_stats.hpp"
-#include "ids/infer_engine.hpp"
 #include "ids/resource_meter.hpp"
 #include "ml/classifier.hpp"
+#include "ml/design_matrix.hpp"
 #include "ml/lifecycle/manager.hpp"
 #include "ml/metrics.hpp"
 
@@ -104,13 +104,6 @@ struct IdsSummary {
 struct IdsConfig {
   util::SimTime window = util::SimTime::seconds(1);
   ResourceMeterConfig meter;
-  /// Scores each closed window on the dedicated InferenceEngine thread
-  /// instead of inline. The verdict sequence is identical either way (see
-  /// DESIGN.md §10); reports for in-flight windows materialise when their
-  /// results drain, at the latest at flush().
-  bool offload_inference = false;
-  /// Windows in flight before submit() back-pressures (offload mode).
-  std::size_t infer_ring_capacity = 8;
   /// Model lifecycle (drift detection, background retraining, hot-swap;
   /// DESIGN.md §14). Disabled by default: no manager, no worker thread.
   ml::lifecycle::LifecycleConfig lifecycle;
@@ -137,10 +130,6 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
   /// "ids.window_backlog" probe).
   std::size_t window_backlog() const { return wbuf_.size(); }
 
-  /// The offload engine, or null in inline mode (tests reconcile its
-  /// backpressure stats against the flight recorder's wait series).
-  const InferenceEngine* engine() const { return engine_.get(); }
-
   /// The lifecycle manager, or null when the lifecycle is disabled.
   const ml::lifecycle::LifecycleManager* lifecycle() const { return lifecycle_.get(); }
 
@@ -149,19 +138,11 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
 
   util::SimTime window_period() const { return config_.window; }
 
-  /// Subscribes the verdict bus: fires once per scored window, after the
-  /// report commits. In inline mode that is at the window-close tick; in
-  /// offload mode whenever the result drains (nondeterministic sim time —
-  /// subscribers must only buffer, and order by window_index).
+  /// Subscribes the verdict bus: fires once per scored window, at its
+  /// window-close tick, after the report commits.
   void set_verdict_sink(std::function<void(const WindowVerdictEvent&)> sink) {
     verdict_sink_ = std::move(sink);
   }
-
-  /// Blocks (wall-clock) until every offload window with index <= through
-  /// has drained and published its verdicts; no-op in inline mode. Called
-  /// by the mitigation controller at its tick so the set of buffered
-  /// verdicts at a given sim time is deterministic either way.
-  void finalize_windows_through(std::uint64_t through);
 
   /// Closes the current partial window (end of run).
   void flush();
@@ -179,38 +160,21 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
     bool malicious = false;       // ground truth, selects the lag series
   };
 
-  /// One window whose features are computed but whose verdicts are still
-  /// on the scoring thread (offload mode).
-  struct PendingWindow {
-    WindowReport report;      // everything but the verdict-derived fields
-    std::vector<int> truths;  // ground-truth label per row
-    std::vector<std::uint32_t> row_sources;  // src addr per row (verdict bus only)
-    std::vector<WindowSample> samples;
-    std::int64_t close_sim_ns = 0;   // sim clock at window close
-    std::int64_t close_wall_ns = 0;  // wall clock at window close
-    std::int64_t submit_wall_ns = 0; // wall clock at inference submit
-  };
-
+  /// Closes the open window in one pass: features, rows, score, report,
+  /// verdict bus.
   void close_window();
   void schedule_tick();
-  /// Fills in the verdict-derived report fields and commits the report.
-  void finalize_window(PendingWindow&& pending, const ml::Verdicts& verdicts,
-                       std::uint64_t inference_ns, std::uint64_t queue_wait_ns);
-  /// Collects completed offload results in submission order; with block
-  /// set, waits until none are outstanding.
-  void drain_completed(bool block);
 
-  /// The currently-served model. Starts as the constructor's reference;
-  /// after a hot-swap it points at owned_model_ (the lifecycle clone),
-  /// which keeps the served model alive while older versions stay pinned
-  /// by any in-flight engine jobs that still hold their shared_ptr.
-  const ml::Classifier* model_;
-  std::shared_ptr<const ml::Classifier> owned_model_;
+  /// The model scoring the open window: the constructor's until the first
+  /// hot-swap, then the lifecycle manager's current clone.
+  const ml::Classifier& served_model() const {
+    return lifecycle_ ? lifecycle_->current_model() : *model_;
+  }
+
+  const ml::Classifier* model_;  // the constructor's model (version 1)
   IdsConfig config_;
   ResourceMeter meter_;
-  std::unique_ptr<InferenceEngine> engine_;
   std::unique_ptr<ml::lifecycle::LifecycleManager> lifecycle_;
-  std::deque<PendingWindow> pending_;
   // The open window as struct-of-arrays plus the streaming accumulator it
   // folds into as batches flush. `accepting_` gates batch ingestion:
   // on_start flushes attached taps first so records captured before the
@@ -220,6 +184,12 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
   std::vector<capture::PacketTap*> taps_;
   bool accepting_ = false;
   std::vector<WindowSample> window_samples_;  // sampled uids in the open window
+  // Per-close buffers, reused window after window: the identity row order,
+  // the rows written in place, their truth labels and their verdicts.
+  std::vector<std::uint32_t> order_;
+  ml::DesignMatrix x_{features::kFeatureCount};
+  std::vector<int> truths_;
+  ml::Verdicts verdicts_;
   std::uint64_t buffer_peak_bytes_ = 0;
   std::uint64_t current_window_ = 0;
   std::vector<WindowReport> reports_;
@@ -244,8 +214,6 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
   obs::LogLinearHistogram* lat_detect_benign_;  // flight.<model>.detect_lag_ns.benign
   obs::LogLinearHistogram* lat_detect_attack_;  // flight.<model>.detect_lag_ns.attack
   obs::LogLinearHistogram* lat_infer_batch_;    // flight.ids.infer_batch_ns
-  obs::LogLinearHistogram* lat_infer_wait_;     // flight.ids.infer_wait_ns
-  obs::LogLinearHistogram* lat_ring_wait_;      // flight.ids.ring_wait_ns
 };
 
 }  // namespace ddoshield::ids

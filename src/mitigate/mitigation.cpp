@@ -94,8 +94,8 @@ MitigationController::MitigationController(container::Container& owner, util::Rn
 }
 
 void MitigationController::on_start() {
-  // The sink may fire from finalize paths whose wall-clock timing depends on
-  // the offload engine; it must only buffer. All decisions happen in tick().
+  // The sink fires inside the IDS's window close; it only buffers. All
+  // decisions happen in tick().
   ids_.set_verdict_sink(
       [this](const ids::WindowVerdictEvent& event) { inbox_.push_back(event); });
 
@@ -127,11 +127,6 @@ void MitigationController::tick() {
   const std::int64_t now_ns = sim().now().ns();
 
   policy_.expire_acls(now_ns, closed);
-
-  // Block (wall-clock only — sim time does not advance) until the offload
-  // engine has published every window up to the one that just closed, so the
-  // decisions below see the same verdict stream as an inline run.
-  ids_.finalize_windows_through(closed);
 
   while (!inbox_.empty()) {
     policy_.process_event(inbox_.front(), now_ns);

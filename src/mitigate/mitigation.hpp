@@ -19,11 +19,10 @@
 //
 // Determinism rules (DESIGN.md §12): verdict-sink callbacks only buffer;
 // all decisions happen at the controller's window tick, which runs after
-// the IDS tick at the same boundary (FIFO seq order) and first blocks —
-// wall-clock only — until every window up to the closed one has drained
-// from the offload engine. Every action is appended to an ActionLog whose
-// lines carry only sim-time and integer fields, so same-seed runs replay
-// byte-identically, inline or offloaded.
+// the IDS tick at the same boundary (FIFO seq order), so the window that
+// just closed has already published its verdicts. Every action is
+// appended to an ActionLog whose lines carry only sim-time and integer
+// fields, so same-seed runs replay byte-identically.
 //
 // Hysteresis: a source must accumulate `strikes_to_*` flagged windows to
 // escalate and `clean_windows_to_release` consecutive clean windows to be

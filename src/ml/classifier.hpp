@@ -45,11 +45,11 @@ class Classifier {
   /// structure (and the per-row allocations) change. predict() stays the
   /// public oracle the batched kernels are tested against.
   ///
-  /// Thread contract: const, allocation-bounded, and registry-free, so
-  /// the off-thread ids::InferenceEngine may call it from its scoring
-  /// thread while the simulation thread holds the model immutable. The
-  /// obs-instrumented entry point is predict_batch(), which must stay on
-  /// the simulation thread.
+  /// Thread contract: const, allocation-bounded, and registry-free, so a
+  /// sharded run's window close may call it on shard 0's thread, not the
+  /// thread that trained or loaded the model, while the model stays
+  /// immutable. The obs-instrumented entry point is predict_batch(), which
+  /// must stay on the simulation thread.
   virtual void score_batch(const DesignMatrix& x, Verdicts& out) const;
 
   std::vector<int> predict_batch(const DesignMatrix& x) const;

@@ -17,7 +17,7 @@
 //
 // Everything here is a pure function of the window contents (sim-domain
 // data), so drift scores — and the retrains they trigger — replay
-// byte-identically, inline or offloaded.
+// byte-identically.
 #pragma once
 
 #include <cstdint>

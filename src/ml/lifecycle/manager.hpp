@@ -10,12 +10,13 @@
 // A retrain trigger serializes the currently-served model, snapshots the
 // replay buffer, forks a per-version Rng stream, and submits the job to
 // the background Retrainer; the swap is *scheduled* for trigger window +
-// apply_latency_windows. At the apply window maybe_swap() blocks —
-// wall-clock only, zero sim time, exactly the finalize_windows_through
-// contract — until the retrainer delivers that version, then swaps it in.
-// Every decision (when to trigger, which data, which rng, when to apply)
-// is a pure function of sim-domain state, so same-seed runs swap at the
-// same windows to bit-identical models, inline or offloaded.
+// apply_latency_windows. At the apply window maybe_swap() blocks until the
+// retrainer delivers that version, then swaps it in. The wait costs wall
+// time only: the simulation does not advance while it blocks, so how long
+// the worker takes never shows in sim time. Every decision (when to
+// trigger, which data, which rng, when to apply) is a pure function of
+// sim-domain state, so same-seed runs swap at the same windows to
+// bit-identical models.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +68,9 @@ class LifecycleManager {
   LifecycleManager(const Classifier& initial_model, std::size_t features,
                    LifecycleConfig config);
 
-  /// Applies a swap scheduled for a window <= `window_index`, if any.
-  /// Returns the new model (shared, keeps predecessors alive for
-  /// in-flight jobs) or nullptr when nothing lands here. Call before
-  /// scoring the window.
+  /// Applies a swap scheduled for a window <= `window_index`, if any,
+  /// blocking until the retrainer delivers it. Returns the new model, or
+  /// nullptr when nothing lands here. Call before scoring the window.
   std::shared_ptr<const Classifier> maybe_swap(std::uint64_t window_index);
 
   /// Feeds one closed window's raw rows and truth labels; may submit a

@@ -33,7 +33,7 @@ Retrainer::~Retrainer() {
 void Retrainer::submit(RetrainJob job) {
   if (!jobs_.try_push(std::move(job))) {
     // A failed try_push leaves the job untouched, so retrying the move is
-    // safe (same contract as InferenceEngine::submit).
+    // safe.
     do {
       std::this_thread::yield();
     } while (!jobs_.try_push(std::move(job)));
@@ -66,9 +66,9 @@ Retrainer::Stats Retrainer::stats() const {
 
 void Retrainer::worker_loop() {
   RetrainJob job;
-  // Same overflow-spill idiom as the inference engine: never block the
-  // worker on a full results ring, so submit() can only ever wait on the
-  // jobs ring, which this loop always empties.
+  // Never block the worker on a full results ring: finished results spill
+  // to a local FIFO, so submit() can only ever wait on the jobs ring, which
+  // this loop always empties.
   std::deque<RetrainResult> overflow;
   auto flush_overflow = [this, &overflow] {
     while (!overflow.empty() && results_.try_push(std::move(overflow.front()))) {

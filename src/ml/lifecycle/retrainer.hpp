@@ -1,10 +1,10 @@
 // Background model retraining off the simulation thread.
 //
-// Mirrors the ids::InferenceEngine shape: the simulation thread submits
-// RetrainJobs through a bounded SPSC ring; a single worker thread pops
-// them in FIFO order, rebuilds the base model from its serialized bytes,
-// applies Classifier::incremental_update under the job's forked Rng, and
-// pushes the finished model back through a second SPSC ring.
+// The simulation thread submits RetrainJobs through a bounded SPSC ring;
+// a single worker thread pops them in FIFO order, rebuilds the base model
+// from its serialized bytes, applies Classifier::incremental_update under
+// the job's forked Rng, and pushes the finished model back through a
+// second SPSC ring.
 //
 // Determinism argument (DESIGN.md §14): the worker computes
 //   clone = deserialize(model_bytes); clone->incremental_update(x, y, rng)
@@ -13,8 +13,7 @@
 // wall-clock moment the result lands changes nothing about its bytes, so
 // the swap that later applies it is byte-identical across runs; the only
 // blocking wait is LifecycleManager's collect() at the scheduled apply
-// window, which costs wall time but zero sim time — the same contract as
-// RealTimeIds::finalize_windows_through.
+// window, which costs wall time but zero sim time.
 //
 // Thread rules: submit/try_collect/collect are simulation-thread only;
 // the worker touches nothing but the rings and its RelaxedCounters (the
@@ -37,7 +36,7 @@ namespace ddoshield::ml::lifecycle {
 struct RetrainerConfig {
   /// Jobs in flight (ring slots). Retrains are rare (every N windows at
   /// most), so a full ring means the worker is severely behind; submit()
-  /// then spin-yields like the inference engine rather than dropping.
+  /// then spin-yields rather than dropping.
   std::size_t ring_capacity = 4;
 };
 

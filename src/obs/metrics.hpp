@@ -22,12 +22,12 @@
 namespace ddoshield::obs {
 
 /// Relaxed atomic counter for code that runs off the simulation thread
-/// (the IDS scoring worker). The registry's Counter / Gauge / Histogram
-/// are deliberately unsynchronised — every other layer is single-threaded
-/// and the hot path must stay a plain integer increment — so cross-thread
-/// producers accumulate into a RelaxedCounter and the owning component
-/// publishes the value into a registry instrument from the simulation
-/// thread (see ids::InferenceEngine::publish_metrics).
+/// (the lifecycle's retrain worker). The registry's Counter / Gauge /
+/// Histogram are deliberately unsynchronised — every other layer is
+/// single-threaded and the hot path must stay a plain integer increment —
+/// so cross-thread producers accumulate into a RelaxedCounter and the
+/// owning component publishes the value into a registry instrument from
+/// the simulation thread (see ml::lifecycle::LifecycleManager::publish_metrics).
 class RelaxedCounter {
  public:
   void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }

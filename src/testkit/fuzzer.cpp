@@ -160,7 +160,6 @@ FuzzResult Fuzzer::run(std::uint64_t seed) {
   if (options_.ids_model != nullptr) {
     ids::IdsConfig cfg;
     cfg.window = options_.ids_window;
-    cfg.offload_inference = options_.offload_inference;
     if (options_.enable_lifecycle) {
       // Aggressive cadence: fuzz scenarios last only a handful of seconds,
       // so the periodic trigger, short cooldown, and one-window deployment

@@ -35,10 +35,6 @@ struct FuzzOptions {
   /// serving model version and a lifecycle summary line is appended, so
   /// same-seed replay pins the whole drift→retrain→swap sequence.
   bool enable_lifecycle = false;
-  /// Score windows on the off-thread engine instead of inline. Verdicts —
-  /// and therefore the event log — must be byte-identical either way;
-  /// lifecycle fuzz runs both and asserts exactly that.
-  bool offload_inference = false;
   /// Generate and apply a fault plan (flaps, degradation, crashes).
   bool enable_faults = true;
   /// Watch the whole network with an InvariantChecker.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "capture/record_batch.hpp"
@@ -185,12 +186,20 @@ TEST(MakeFeatureRowsTest, VectorisedRowsMatchPerRecordRows) {
   RecordBatch batch;
   for (const auto& r : packets) batch.push_record(r);
   const WindowStats stats = compute_window_stats(packets, kWindow);
-  const auto rows = make_feature_rows(batch, 0, batch.size(), stats);
-  ASSERT_EQ(rows.size(), packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    const FeatureRow expect = make_feature_row(packets[i], stats);
-    for (std::size_t f = 0; f < kFeatureCount; ++f)
-      EXPECT_DOUBLE_EQ(rows[i][f], expect[f]) << "row " << i << " feature " << f;
+  std::vector<std::uint32_t> identity(batch.size());
+  std::iota(identity.begin(), identity.end(), 0u);
+  const auto canonical = canonical_batch_order(batch, 0, batch.size());
+  ASSERT_NE(canonical, identity) << "no tie run to reorder; coverage hole";
+  // Arrival order (the flat IDS) and canonical order (the sharded IDS).
+  for (const auto& order : {identity, canonical}) {
+    std::vector<double> rows(order.size() * kFeatureCount, -1.0);
+    make_feature_rows(batch, order, stats, rows);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const FeatureRow expect = make_feature_row(packets[order[i]], stats);
+      for (std::size_t f = 0; f < kFeatureCount; ++f)
+        EXPECT_DOUBLE_EQ(rows[i * kFeatureCount + f], expect[f])
+            << "row " << i << " feature " << f;
+    }
   }
 }
 

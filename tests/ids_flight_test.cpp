@@ -1,19 +1,16 @@
-// Offload-mode latency attribution: the flight recorder's window stages
-// and the LatencyTracker's infer-ring/batch series must reconcile with the
-// InferenceEngine's own counters on a seeded run — every completed batch
-// is accounted for, ring waits show up exactly when the engine reports
-// backpressure-prone queueing, and the per-packet detect-lag series covers
-// every tapped packet.
+// IDS latency attribution: on a seeded run the flight recorder's window
+// stages and the LatencyTracker's batch series must reconcile with the
+// IDS's own window reports — one close/submit/complete/verdict per window —
+// and the per-packet detect-lag series must cover every tapped packet.
+// Also the ResourceMeter's RSS probe and CPU formula.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "capture/tap.hpp"
 #include "container/runtime.hpp"
-#include "ids/infer_engine.hpp"
 #include "ids/realtime_ids.hpp"
+#include "ids/resource_meter.hpp"
 #include "net/network.hpp"
 #include "obs/flight.hpp"
 #include "obs/latency.hpp"
@@ -25,26 +22,19 @@ namespace {
 using util::Rng;
 using util::SimTime;
 
-/// Port classifier (dst_port 9999 = attack), optionally slow per row so the
-/// ring backs up while simulated windows keep closing.
+/// Port classifier (dst_port 9999 = attack).
 class PortModel : public ml::Classifier {
  public:
-  explicit PortModel(std::chrono::microseconds row_delay = {}) : delay_{row_delay} {}
-
   std::string name() const override { return "port"; }
   void fit(const ml::DesignMatrix&, const std::vector<int>&) override {}
   bool trained() const override { return true; }
   int predict(std::span<const double> row) const override {
-    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
     return row[5] > 0.14 ? 1 : 0;  // dst_port 9999/65535 = 0.1526
   }
   void save(util::ByteWriter&) const override {}
   void load(util::ByteReader&) override {}
   std::uint64_t parameter_bytes() const override { return 1024; }
   std::uint64_t inference_scratch_bytes() const override { return 256; }
-
- private:
-  std::chrono::microseconds delay_;
 };
 
 struct World {
@@ -93,12 +83,10 @@ struct World {
 };
 
 struct SeriesBaselines {
-  std::uint64_t batch, wait, ring, benign, attack;
+  std::uint64_t batch, benign, attack;
   static SeriesBaselines capture() {
     auto& lat = obs::LatencyTracker::global();
     return SeriesBaselines{lat.series("flight.ids.infer_batch_ns").count(),
-                           lat.series("flight.ids.infer_wait_ns").count(),
-                           lat.series("flight.ids.ring_wait_ns").count(),
                            lat.series("flight.port.detect_lag_ns.benign").count(),
                            lat.series("flight.port.detect_lag_ns.attack").count()};
   }
@@ -119,7 +107,7 @@ struct GlobalFlightGuard {
   }
 };
 
-TEST(IdsFlightTest, OffloadAttributionReconcilesWithEngineCounters) {
+TEST(IdsFlightTest, InlineAttributionReconcilesWithReports) {
   GlobalFlightGuard guard;
   auto& flight = obs::FlightRecorder::global();
   // Every packet sampled; ring big enough that nothing is overwritten.
@@ -128,14 +116,8 @@ TEST(IdsFlightTest, OffloadAttributionReconcilesWithEngineCounters) {
   const SeriesBaselines before = SeriesBaselines::capture();
 
   World world;
-  // 200 us per row with a one-slot ring: simulated window closes outpace
-  // the worker, so jobs sit in the ring (queue_wait_ns > 0) and submits
-  // hit backpressure — the exact regime the attribution must explain.
-  PortModel model{std::chrono::microseconds{200}};
-  IdsConfig config;
-  config.offload_inference = true;
-  config.infer_ring_capacity = 1;
-  RealTimeIds ids{*world.ids_box, Rng{1}, model, config};
+  PortModel model;
+  RealTimeIds ids{*world.ids_box, Rng{1}, model, IdsConfig{}};
   ids.attach_tap(world.tap);
   ids.start();
   world.schedule_mixed_workload();
@@ -147,35 +129,20 @@ TEST(IdsFlightTest, OffloadAttributionReconcilesWithEngineCounters) {
   std::uint64_t total_packets = 0;
   for (const auto& r : reports) total_packets += r.packets;
 
-  ASSERT_NE(ids.engine(), nullptr);
-  const auto stats = ids.engine()->stats();
-  EXPECT_EQ(stats.completed, reports.size());
-  EXPECT_EQ(stats.rows_scored, total_packets);
-
-  // Flight window stages reconcile with the engine's batch accounting:
-  // one submit/complete/verdict triple per completed batch.
+  // Flight window stages reconcile with the reports: one
+  // close/submit/complete/verdict quadruple per scored window.
   const auto events = flight.events_in_order();
   EXPECT_EQ(flight.overwritten(), 0u) << "ring too small for the run";
   EXPECT_EQ(count_stage(events, obs::FlightStage::kWindowClose), reports.size());
-  EXPECT_EQ(count_stage(events, obs::FlightStage::kInferSubmit), stats.submitted);
-  EXPECT_EQ(count_stage(events, obs::FlightStage::kInferComplete), stats.completed);
-  EXPECT_EQ(count_stage(events, obs::FlightStage::kVerdict), stats.completed);
+  EXPECT_EQ(count_stage(events, obs::FlightStage::kInferSubmit), reports.size());
+  EXPECT_EQ(count_stage(events, obs::FlightStage::kInferComplete), reports.size());
+  EXPECT_EQ(count_stage(events, obs::FlightStage::kVerdict), reports.size());
   // Every tapped packet was sampled into the capture stage.
   EXPECT_EQ(count_stage(events, obs::FlightStage::kCaptureTap), total_packets);
 
-  // Latency attribution: one batch-time observation per completed batch,
-  // one around-the-batch wait per finalized window, and — in this seeded
-  // backpressure regime — at least one nonzero ring sit. Ring waits can
-  // never outnumber completed batches.
+  // One batch-time observation per scored window.
   auto& lat = obs::LatencyTracker::global();
-  const std::uint64_t batch = lat.series("flight.ids.infer_batch_ns").count() - before.batch;
-  const std::uint64_t wait = lat.series("flight.ids.infer_wait_ns").count() - before.wait;
-  const std::uint64_t ring = lat.series("flight.ids.ring_wait_ns").count() - before.ring;
-  EXPECT_EQ(batch, stats.completed);
-  EXPECT_EQ(wait, stats.completed);
-  EXPECT_GE(ring, 1u);
-  EXPECT_LE(ring, stats.completed);
-  EXPECT_GE(stats.backpressure_waits, 1u);
+  EXPECT_EQ(lat.series("flight.ids.infer_batch_ns").count() - before.batch, reports.size());
 
   // Per-packet end-to-end detect lag: every tapped packet lands in exactly
   // one traffic-class series.
@@ -188,39 +155,35 @@ TEST(IdsFlightTest, OffloadAttributionReconcilesWithEngineCounters) {
   EXPECT_GT(benign, 0u);
 }
 
-TEST(IdsFlightTest, InlineModeHasNoRingWait) {
-  GlobalFlightGuard guard;
-  auto& flight = obs::FlightRecorder::global();
-  flight.configure(obs::FlightConfig{.capacity = 2048, .sample_every = 1});
-  flight.set_enabled(true);
-  const SeriesBaselines before = SeriesBaselines::capture();
+// ---------------------------------------------------------------------------
+// ResourceMeter
+// ---------------------------------------------------------------------------
 
-  World world;
-  PortModel model;
-  IdsConfig config;
-  config.offload_inference = false;
-  RealTimeIds ids{*world.ids_box, Rng{1}, model, config};
-  ids.attach_tap(world.tap);
-  ids.start();
-  world.schedule_mixed_workload();
-  world.net.simulator().run_until(SimTime::millis(5500));
-  ids.flush();
-
-  const auto reports = ids.reports();
-  ASSERT_GE(reports.size(), 5u);
-  EXPECT_EQ(ids.engine(), nullptr);
-
-  auto& lat = obs::LatencyTracker::global();
-  // Inline scoring has no ring: batch and wait observations still cover
-  // every window, but the ring-wait series stays untouched.
-  EXPECT_EQ(lat.series("flight.ids.infer_batch_ns").count() - before.batch, reports.size());
-  EXPECT_EQ(lat.series("flight.ids.infer_wait_ns").count() - before.wait, reports.size());
-  EXPECT_EQ(lat.series("flight.ids.ring_wait_ns").count() - before.ring, 0u);
+TEST(ResourceMeterTest, RssSamplingIsRateLimitedPerWindow) {
+  ResourceMeter meter{"test", ResourceMeterConfig{}};
+  const std::uint64_t first = meter.sample_rss_kb(0);
+  EXPECT_GT(first, 0u);  // a live process has nonzero RSS
+  EXPECT_EQ(meter.samples_taken(), 1u);
+  EXPECT_EQ(meter.sample_rss_kb(0), first);  // cached, no second read
+  EXPECT_EQ(meter.samples_taken(), 1u);
+  meter.sample_rss_kb(1);
+  EXPECT_EQ(meter.samples_taken(), 2u);
+  meter.sample_rss_kb(1);
+  EXPECT_EQ(meter.samples_taken(), 2u);
 }
 
-// ---------------------------------------------------------------------------
-// ResourceMeter peak RSS
-// ---------------------------------------------------------------------------
+TEST(ResourceMeterTest, WindowCpuPercentClampsAt100) {
+  ResourceMeter meter{"test", ResourceMeterConfig{}};
+  const std::uint64_t window_ns = 1'000'000'000;
+  // An hour of modelled work in a one-second window clamps.
+  EXPECT_DOUBLE_EQ(meter.window_cpu_percent(3'600'000'000'000ull, 0, window_ns), 100.0);
+  // Zero measured work still carries the fixed per-window overhead.
+  ResourceMeterConfig no_overhead;
+  no_overhead.per_window_overhead_ms = 0.0;
+  ResourceMeter lean{"lean", no_overhead};
+  EXPECT_DOUBLE_EQ(lean.window_cpu_percent(0, 0, window_ns), 0.0);
+  EXPECT_GT(meter.window_cpu_percent(0, 0, window_ns), 0.0);
+}
 
 TEST(ResourceMeterPeakTest, PeakRssIsPopulatedAndMonotone) {
   ResourceMeter meter{"peaktest", ResourceMeterConfig{}};

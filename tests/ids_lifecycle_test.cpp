@@ -1,8 +1,7 @@
-// RealTimeIds × model lifecycle integration: hot-swaps land at identical
-// window boundaries inline and offloaded, verdict events carry monotone
-// model versions, the ids.model_version gauge and lifecycle.* counters
-// reach the snapshot, and the ResourceMeter degrades to getrusage when
-// procfs is off the table.
+// RealTimeIds × model lifecycle integration: hot-swaps land, verdict
+// events carry monotone model versions, the ids.model_version gauge and
+// lifecycle.* counters reach the snapshot, and the ResourceMeter degrades
+// to getrusage when procfs is off the table.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,8 +23,8 @@ using util::Rng;
 using util::SimTime;
 
 // A real (serializable, retrainable) forest: the lifecycle serializes the
-// served model into retrain jobs, so the ids_infer_test stub models don't
-// work here.
+// served model into retrain jobs, so the stub models of the other IDS
+// tests don't work here.
 const ml::RandomForest& tiny_forest() {
   static ml::RandomForest* model = [] {
     ml::RandomForestConfig cfg;
@@ -61,9 +60,9 @@ ml::lifecycle::LifecycleConfig fast_lifecycle() {
   return cfg;
 }
 
-/// Sender→victim world, rebuilt per run so inline and offload scenarios
-/// start from identical state (the ids_infer_test harness, with enough
-/// traffic per window to feed the replay buffer past min_replay_rows).
+/// Sender→victim world, rebuilt per run so every run starts from identical
+/// state, with enough traffic per window to feed the replay buffer past
+/// min_replay_rows.
 struct World {
   net::Network net;
   net::Node* sender = nullptr;
@@ -102,10 +101,8 @@ struct World {
     ml::lifecycle::LifecycleManager::Stats stats;
   };
 
-  RunResult run_scenario(bool offload) {
+  RunResult run_scenario() {
     IdsConfig config;
-    config.offload_inference = offload;
-    config.infer_ring_capacity = 2;
     config.lifecycle = fast_lifecycle();
     RealTimeIds ids{*ids_box, Rng{1}, tiny_forest(), config};
     RunResult out;
@@ -136,7 +133,7 @@ struct World {
 };
 
 TEST(IdsLifecycleTest, HotSwapLandsAndVersionsAreMonotone) {
-  const auto run = World{}.run_scenario(false);
+  const auto run = World{}.run_scenario();
   ASSERT_GE(run.reports.size(), 7u);
   EXPECT_GT(run.final_version, 1u) << "scenario never hot-swapped; coverage hole";
   EXPECT_GE(run.stats.swaps_applied, 1u);
@@ -157,31 +154,8 @@ TEST(IdsLifecycleTest, HotSwapLandsAndVersionsAreMonotone) {
   EXPECT_EQ(run.reports.back().model_version, run.final_version);
 }
 
-TEST(IdsLifecycleTest, OffloadedHotSwapMatchesInlineExactly) {
-  // The acceptance bar: with the lifecycle armed, same-seed inline and
-  // offloaded runs swap at the same windows and score every window with
-  // the same model version — verdict streams identical.
-  const auto inline_run = World{}.run_scenario(false);
-  const auto offload_run = World{}.run_scenario(true);
-
-  ASSERT_EQ(offload_run.reports.size(), inline_run.reports.size());
-  ASSERT_GT(inline_run.final_version, 1u);
-  EXPECT_EQ(offload_run.final_version, inline_run.final_version);
-  EXPECT_EQ(offload_run.stats.swaps_applied, inline_run.stats.swaps_applied);
-  EXPECT_EQ(offload_run.event_versions, inline_run.event_versions);
-  for (std::size_t i = 0; i < inline_run.reports.size(); ++i) {
-    const auto& a = inline_run.reports[i];
-    const auto& b = offload_run.reports[i];
-    EXPECT_EQ(b.window_index, a.window_index);
-    EXPECT_EQ(b.model_version, a.model_version);
-    EXPECT_EQ(b.packets, a.packets);
-    EXPECT_EQ(b.predicted_malicious, a.predicted_malicious);
-    EXPECT_DOUBLE_EQ(b.accuracy, a.accuracy);
-  }
-}
-
 TEST(IdsLifecycleTest, PublishesVersionGaugeAndLifecycleCounters) {
-  const auto run = World{}.run_scenario(false);
+  const auto run = World{}.run_scenario();
   ASSERT_GT(run.final_version, 1u);
   auto& reg = obs::MetricsRegistry::global();
   EXPECT_EQ(reg.gauge("ids.model_version").value(),

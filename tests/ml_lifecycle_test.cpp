@@ -415,8 +415,8 @@ TEST(RetrainerTest, DeliversUpdatedModelInOrder) {
 
 TEST(RetrainerTest, ResultBytesMatchInlineRetrain) {
   // The worker's clone-and-update must equal the same computation run
-  // inline on the submitting thread — the offload-equivalence proof at
-  // the retrain layer.
+  // inline on the submitting thread — the retrain layer's proof that the
+  // background thread changes no bytes.
   DesignMatrix x{4};
   std::vector<int> y;
   Rng rng{52};
@@ -426,15 +426,15 @@ TEST(RetrainerTest, ResultBytesMatchInlineRetrain) {
 
   Retrainer retrainer{base};
   retrainer.submit(make_job(base, x, y, 2));
-  const RetrainResult offloaded = retrainer.collect();
-  ASSERT_TRUE(offloaded.updated);
+  const RetrainResult threaded = retrainer.collect();
+  ASSERT_TRUE(threaded.updated);
 
   auto inline_clone = deserialize_model(serialize_model(base));
   inline_clone->adopt_deployment(base);
   Rng inline_rng = Rng{0x11fe}.fork_stream("retrain", 2);
   ASSERT_TRUE(inline_clone->incremental_update(x, y, inline_rng));
 
-  EXPECT_EQ(serialize_model(*offloaded.model), serialize_model(*inline_clone));
+  EXPECT_EQ(serialize_model(*threaded.model), serialize_model(*inline_clone));
 }
 
 TEST(RetrainerTest, ModelWithoutIncrementalPathIsANoop) {

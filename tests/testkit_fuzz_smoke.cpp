@@ -138,35 +138,27 @@ TEST_P(FuzzMitigation, InvariantsHoldAndReplayIsByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(ClosedLoop, FuzzMitigation, ::testing::Values(7ull, 13ull));
 
 // Always-on (env-independent) coverage of the model lifecycle: with the
-// aggressive fuzz cadence a model hot-swap must actually land mid-run, the
-// event log — now carrying per-window model versions, swap lines, and the
-// lifecycle summary — must replay byte for byte, and scoring the same seed
-// on the off-thread engine must produce the identical log (the swap
-// schedule is sim-domain data, so inline and offloaded runs switch models
-// at the same window boundary).
+// aggressive fuzz cadence a model hot-swap must actually land mid-run, and
+// the event log — now carrying per-window model versions, swap lines, and
+// the lifecycle summary — must replay byte for byte (the swap schedule is
+// sim-domain data, so a replay switches models at the same window
+// boundary however long the retrain worker takes).
 class FuzzLifecycle : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FuzzLifecycle, HotSwapReplaysByteIdenticalInlineAndOffloaded) {
+TEST_P(FuzzLifecycle, HotSwapReplaysByteIdentical) {
   FuzzOptions opts;
   opts.ids_model = &tiny_model();
   opts.enable_lifecycle = true;
-  Fuzzer inline_fuzzer{opts};
+  Fuzzer fuzzer{opts};
 
-  const FuzzResult first = inline_fuzzer.run(GetParam());
+  const FuzzResult first = fuzzer.run(GetParam());
   EXPECT_TRUE(first.ok()) << first.invariants.summary();
   EXPECT_GT(first.ids_windows, 0u);
   EXPECT_GE(first.lifecycle_retrains, 1u) << "seed never triggered a retrain";
   EXPECT_GE(first.lifecycle_swaps, 1u) << "seed never hot-swapped; coverage hole";
 
-  const FuzzResult second = inline_fuzzer.run(GetParam());
+  const FuzzResult second = fuzzer.run(GetParam());
   ASSERT_EQ(first.log.joined(), second.log.joined()) << "seed " << GetParam();
-
-  opts.offload_inference = true;
-  Fuzzer offload_fuzzer{opts};
-  const FuzzResult offloaded = offload_fuzzer.run(GetParam());
-  ASSERT_EQ(first.log.joined(), offloaded.log.joined())
-      << "inline vs offloaded diverged, seed " << GetParam();
-  EXPECT_EQ(first.lifecycle_swaps, offloaded.lifecycle_swaps);
 }
 
 INSTANTIATE_TEST_SUITE_P(HotSwapSeeds, FuzzLifecycle, ::testing::Values(7ull, 13ull));
