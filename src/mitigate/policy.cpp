@@ -1,11 +1,30 @@
 #include "mitigate/policy.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <iterator>
 
 #include "net/address.hpp"
 
 namespace ddoshield::mitigate {
+
+namespace {
+
+// Lower bound of key in a[from, end): probes from, then gaps that double,
+// then binary-searches the last gap, so a key near the previous one costs
+// O(log distance) rather than O(log size).
+std::size_t gallop(const std::vector<std::uint32_t>& a, std::size_t from, std::uint32_t key) {
+  std::size_t lo = from;
+  std::size_t hi = from;
+  for (std::size_t step = 1; hi < a.size() && a[hi] < key; step *= 2) {
+    lo = hi + 1;
+    hi = lo + step;
+  }
+  hi = std::min(hi, a.size());
+  return static_cast<std::size_t>(std::lower_bound(a.data() + lo, a.data() + hi, key) -
+                                  a.data());
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ActionLog
@@ -68,16 +87,22 @@ void VerdictPolicy::log_action(ActionType type, std::uint64_t window_index,
   log_.append(a);
 }
 
+std::size_t VerdictPolicy::find(std::uint32_t src_addr) const {
+  const auto it = std::lower_bound(addrs_.begin(), addrs_.end(), src_addr);
+  return it != addrs_.end() && *it == src_addr ? static_cast<std::size_t>(it - addrs_.begin())
+                                               : addrs_.size();
+}
+
 bool VerdictPolicy::is_quarantined(std::uint32_t src_addr) const {
-  const auto it = sources_.find(src_addr);
-  return it != sources_.end() && it->second.quarantined;
+  const std::size_t i = find(src_addr);
+  return i != addrs_.size() && states_[i].quarantined;
 }
 
 void VerdictPolicy::expire_acls(std::int64_t now_ns, std::uint64_t window_index) {
-  // Walks only the ACL'd sources, in the same ascending order as sources_.
+  // Walks only the ACL'd sources, in the same ascending order as addrs_.
   for (auto it = acl_sources_.begin(); it != acl_sources_.end();) {
     const std::uint32_t addr = *it;
-    SourceState& st = sources_.find(addr)->second;
+    SourceState& st = states_[find(addr)];
     if (st.acl_expires_ns > now_ns) {
       ++it;
       continue;
@@ -92,6 +117,42 @@ void VerdictPolicy::expire_acls(std::int64_t now_ns, std::uint64_t window_index)
   }
 }
 
+void VerdictPolicy::track_new_sources(const ids::WindowVerdictEvent& event) {
+  // A forward cursor over addrs_, restarted wherever the event steps
+  // backwards (the pipelines publish ascending sources; replays and
+  // tests may not).
+  fresh_.clear();
+  std::size_t pos = 0;
+  std::uint32_t prev = 0;
+  for (const auto& sv : event.sources) {
+    if (sv.src_addr == protected_addr_) continue;
+    if (sv.src_addr < prev) pos = 0;
+    prev = sv.src_addr;
+    pos = gallop(addrs_, pos, sv.src_addr);
+    if (pos == addrs_.size() || addrs_[pos] != sv.src_addr) fresh_.push_back(sv.src_addr);
+  }
+  if (fresh_.empty()) return;
+  std::sort(fresh_.begin(), fresh_.end());
+  fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+  // Merge in place from the back: each tracked source moves at most once.
+  std::size_t old_left = addrs_.size();
+  std::size_t new_left = fresh_.size();
+  addrs_.resize(old_left + new_left);
+  states_.resize(addrs_.size());
+  for (std::size_t out = addrs_.size(); new_left > 0;) {
+    --out;
+    if (old_left > 0 && addrs_[old_left - 1] > fresh_[new_left - 1]) {
+      --old_left;
+      addrs_[out] = addrs_[old_left];
+      states_[out] = states_[old_left];
+    } else {
+      --new_left;
+      addrs_[out] = fresh_[new_left];
+      states_[out] = SourceState{};
+    }
+  }
+}
+
 void VerdictPolicy::process_event(const ids::WindowVerdictEvent& event,
                                   std::int64_t now_ns) {
   ++windows_processed_;
@@ -102,18 +163,20 @@ void VerdictPolicy::process_event(const ids::WindowVerdictEvent& event,
     log_action(ActionType::kModelSwap, event.window_index, 0, event.model_version, now_ns);
     last_model_version_ = event.model_version;
   }
-  // event.sources ascends, so each source's state sits at or just past the
-  // previous one's: the hinted lookup is O(1) unless tracked sources absent
-  // from this window lie between them.
-  auto hint = sources_.begin();
+  track_new_sources(event);
+  // Every source of the event is tracked now; the ladder visits them in
+  // the event's order, galloping forward from the previous one.
+  std::size_t pos = 0;
+  std::uint32_t prev = 0;
   for (const auto& sv : event.sources) {
     // Never blocklist the protected service itself: the tap sees both
     // directions, so the victim's own responses share every flood window's
     // (flagged) statistical features.
     if (sv.src_addr == protected_addr_) continue;
-    const auto it = sources_.try_emplace(hint, sv.src_addr);
-    hint = std::next(it);
-    SourceState& st = it->second;
+    if (sv.src_addr < prev) pos = 0;
+    prev = sv.src_addr;
+    pos = gallop(addrs_, pos, sv.src_addr);
+    SourceState& st = states_[pos];
     if (st.quarantined) continue;
     const bool flagged =
         sv.packets >= cfg_.min_packets &&
@@ -195,9 +258,9 @@ void VerdictPolicy::pardon(std::uint32_t src_addr, SourceState& st,
 
 bool VerdictPolicy::rejoin(std::uint32_t src_addr, std::uint64_t window_index,
                            std::int64_t now_ns) {
-  auto it = sources_.find(src_addr);
-  if (it == sources_.end() || !it->second.quarantined) return false;
-  it->second = SourceState{};  // rejoin on probation with a clean slate
+  const std::size_t i = find(src_addr);
+  if (i == addrs_.size() || !states_[i].quarantined) return false;
+  states_[i] = SourceState{};  // rejoin on probation with a clean slate
   log_action(ActionType::kProbationRejoin, window_index, src_addr, 0, now_ns);
   return true;
 }

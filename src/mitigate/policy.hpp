@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -139,14 +138,14 @@ class VerdictPolicy {
   const ActionLog& action_log() const { return log_; }
   const MitigationConfig& config() const { return cfg_; }
   std::uint64_t windows_processed() const { return windows_processed_; }
-  std::size_t sources_tracked() const { return sources_.size(); }
+  std::size_t sources_tracked() const { return addrs_.size(); }
   bool is_quarantined(std::uint32_t src_addr) const;
   /// Sources currently behind an ACL / rate limit — the live enforcement
   /// footprint the survival telemetry probes graph over an attack.
   std::size_t active_acls() const { return acl_sources_.size(); }
   std::size_t active_limits() const {
     std::size_t n = 0;
-    for (const auto& [src, st] : sources_) n += st.limited;
+    for (const SourceState& st : states_) n += st.limited;
     return n;
   }
 
@@ -160,6 +159,11 @@ class VerdictPolicy {
     std::int64_t acl_expires_ns = 0;
   };
 
+  /// Index of src_addr in addrs_, or addrs_.size() when untracked.
+  std::size_t find(std::uint32_t src_addr) const;
+  /// Tracks every source of the event not yet in addrs_ (never the
+  /// protected address), keeping addrs_/states_ ascending.
+  void track_new_sources(const ids::WindowVerdictEvent& event);
   void escalate(std::uint32_t src_addr, SourceState& st, std::uint64_t window_index,
                 std::int64_t now_ns);
   void pardon(std::uint32_t src_addr, SourceState& st, std::uint64_t window_index,
@@ -170,8 +174,13 @@ class VerdictPolicy {
   Hooks hooks_;
   std::uint64_t windows_processed_ = 0;
   std::uint64_t last_model_version_ = 1;  // logs kModelSwap on change
-  std::map<std::uint32_t, SourceState> sources_;
-  /// The sources behind an ACL, ascending like sources_: expiry walks the
+  /// Every tracked source, ascending, with its state at the same index:
+  /// a window's sources arrive (mostly) ascending, so the ladder finds
+  /// each one by galloping forward from the previous one.
+  std::vector<std::uint32_t> addrs_;
+  std::vector<SourceState> states_;
+  std::vector<std::uint32_t> fresh_;  // scratch: one window's new sources
+  /// The sources behind an ACL, ascending like addrs_: expiry walks the
   /// blocked sources, not every tracked one.
   std::set<std::uint32_t> acl_sources_;
   ActionLog log_;

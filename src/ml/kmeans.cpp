@@ -6,20 +6,11 @@
 #include <limits>
 #include <stdexcept>
 
+#include "ml/kmeans_kernel.hpp"
+
 namespace ddoshield::ml {
 
-namespace {
-
-double squared_distance(std::span<const double> a, std::span<const double> b) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double diff = a[i] - b[i];
-    d += diff * diff;
-  }
-  return d;
-}
-
-}  // namespace
+using kmeans_kernel::squared_distance;
 
 KMeansDetector::KMeansDetector(KMeansConfig config) : config_{config} {
   if (config_.initial_clusters < 2) {
@@ -221,64 +212,20 @@ void KMeansDetector::rebuild_flat() {
   for (const auto& c : centroids_) centroid_flat_.insert(centroid_flat_.end(), c.begin(), c.end());
 }
 
-// Pinned to a 64-byte boundary: the blocked distance loop is the largest
-// serial stage of a sharded window close, and its speed depends on where
-// the code lands. On a 4-vCPU Xeon, two builds that differed only in this
-// attribute scored a 100k-device window (~140k rows) in 123 ms with the
-// function at 32 mod 64 and in 65-80 ms at 0 mod 64, every other stage
-// of the close equal.
+// Pinned to a 64-byte boundary, like the block kernels it calls: scoring
+// is the largest serial stage of a sharded window close, and where the
+// linker placed this loop once swung a 100k-device window's scoring
+// between 65-80 ms (0 mod 64) and 123 ms (32 mod 64) on a 4-vCPU Xeon.
 [[gnu::aligned(64)]] void KMeansDetector::score_batch(const DesignMatrix& x,
                                                       Verdicts& out) const {
   if (centroids_.empty()) throw std::logic_error("KMeansDetector::score_batch: not trained");
-  const std::size_t n = x.rows();
-  const std::size_t dims = scaler_.mean().size();
-  const std::size_t k = centroids_.size();
-  out.assign(n, 0);
-
-  constexpr std::size_t kRowBlock = 32;
-  std::vector<double> scaled(kRowBlock * dims);
-  std::vector<double> best(kRowBlock);
-  std::vector<std::size_t> best_c(kRowBlock);
-
-  for (std::size_t base = 0; base < n; base += kRowBlock) {
-    const std::size_t bn = std::min(kRowBlock, n - base);
-    for (std::size_t r = 0; r < bn; ++r) {
-      scaler_.transform_into(x.row(base + r), {scaled.data() + r * dims, dims});
-    }
-    std::fill(best.begin(), best.begin() + static_cast<std::ptrdiff_t>(bn),
-              std::numeric_limits<double>::max());
-    std::fill(best_c.begin(), best_c.begin() + static_cast<std::ptrdiff_t>(bn), 0);
-    for (std::size_t c = 0; c < k; ++c) {
-      const double* cen = centroid_flat_.data() + c * dims;
-      for (std::size_t r = 0; r < bn; ++r) {
-        const double* row = scaled.data() + r * dims;
-        double d = 0.0;
-        for (std::size_t i = 0; i < dims; ++i) {
-          const double diff = row[i] - cen[i];
-          d += diff * diff;
-        }
-        // Strict < keeps the scalar path's first-minimum tie-break.
-        if (d < best[r]) {
-          best[r] = d;
-          best_c[r] = c;
-        }
-      }
-    }
-    for (std::size_t r = 0; r < bn; ++r) out[base + r] = cluster_labels_[best_c[r]];
-  }
+  out.resize(x.rows());
+  kmeans_kernel::block_kernel()(x, scaler_, centroid_flat_, out.data(), nullptr);
+  for (int& v : out) v = cluster_labels_[static_cast<std::size_t>(v)];
 }
 
 std::size_t KMeansDetector::nearest_cluster(std::span<const double> scaled_row) const {
-  double best = std::numeric_limits<double>::max();
-  std::size_t best_c = 0;
-  for (std::size_t c = 0; c < centroids_.size(); ++c) {
-    const double d = squared_distance(scaled_row, centroids_[c]);
-    if (d < best) {
-      best = d;
-      best_c = c;
-    }
-  }
-  return best_c;
+  return kmeans_kernel::nearest(scaled_row, centroids_).index;
 }
 
 int KMeansDetector::predict(std::span<const double> row) const {

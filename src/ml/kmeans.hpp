@@ -43,13 +43,14 @@ class KMeansDetector : public Classifier {
   std::string name() const override { return "kmeans"; }
   void fit(const DesignMatrix& x, const std::vector<int>& y) override;
   int predict(std::span<const double> row) const override;
-  /// Batched kernel: scales a block of rows once into reusable scratch
-  /// (no per-row allocation), then sweeps the contiguous hoisted centroid
-  /// array centroid-outer / row-inner so each centroid is loaded once per
-  /// block. The per-(row, centroid) distance keeps the scalar path's
-  /// dimension-ascending accumulation — a norm-factorised ‖x‖²−2x·c+‖c‖²
-  /// formulation was rejected because its different rounding can flip
-  /// near-tie argmins — so verdicts are bit-identical to predict().
+  /// Batched kernel: the block kernel of ml/kmeans_kernel.hpp (AVX2 where
+  /// the CPU has it, else the portable one) finds every row's nearest
+  /// centroid over the contiguous hoisted centroid array, and the argmins
+  /// map through the cluster labels. Each (row, centroid) distance keeps
+  /// the scalar path's dimension-ascending accumulation — a norm-factorised
+  /// ‖x‖²−2x·c+‖c‖² formulation was rejected because its different
+  /// rounding can flip near-tie argmins — so verdicts are bit-identical to
+  /// predict().
   void score_batch(const DesignMatrix& x, Verdicts& out) const override;
   /// Lifecycle retrain: a few plain Lloyd iterations from the *current*
   /// centroids over the replay batch, then a majority-class relabel.

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -212,6 +215,284 @@ TEST(VerdictPolicyTest, RandomEventStreamReplaysTheRecordedActionLog) {
   EXPECT_EQ(policy.active_limits(), 41u);
   EXPECT_EQ(hook_calls, 6492u);
 }
+
+// --------------------------------------------------------------------------
+// VerdictPolicy vs its std::map predecessor
+// --------------------------------------------------------------------------
+
+// The policy as it stood on a std::map<src, SourceState> with hinted
+// lookups: the reference the flat ascending arrays must reproduce action
+// for action and hook call for hook call. Test-only.
+class MapPolicy {
+ public:
+  MapPolicy(MitigationConfig cfg, std::uint32_t protected_addr, VerdictPolicy::Hooks hooks)
+      : cfg_{cfg}, protected_addr_{protected_addr}, hooks_{std::move(hooks)} {}
+
+  void expire_acls(std::int64_t now_ns, std::uint64_t window_index) {
+    for (auto it = acl_sources_.begin(); it != acl_sources_.end();) {
+      const std::uint32_t addr = *it;
+      SourceState& st = sources_.find(addr)->second;
+      if (st.acl_expires_ns > now_ns) {
+        ++it;
+        continue;
+      }
+      st.acl = false;
+      it = acl_sources_.erase(it);
+      if (hooks_.remove_acl) hooks_.remove_acl(addr);
+      log(ActionType::kAclExpire, window_index, addr,
+          static_cast<std::uint64_t>(cfg_.acl_ttl.ns()), now_ns);
+    }
+  }
+
+  void process_event(const ids::WindowVerdictEvent& event, std::int64_t now_ns) {
+    if (event.model_version != last_model_version_) {
+      log(ActionType::kModelSwap, event.window_index, 0, event.model_version, now_ns);
+      last_model_version_ = event.model_version;
+    }
+    auto hint = sources_.begin();
+    for (const auto& sv : event.sources) {
+      if (sv.src_addr == protected_addr_) continue;
+      const auto it = sources_.try_emplace(hint, sv.src_addr);
+      hint = std::next(it);
+      SourceState& st = it->second;
+      if (st.quarantined) continue;
+      const bool flagged = sv.packets >= cfg_.min_packets &&
+                           static_cast<double>(sv.flagged) >=
+                               cfg_.suspect_share * static_cast<double>(sv.packets);
+      if (flagged) {
+        ++st.strikes;
+        st.clean = 0;
+        escalate(sv.src_addr, st, event.window_index, now_ns);
+      } else if (!st.acl) {
+        ++st.clean;
+        if (st.clean >= cfg_.clean_windows_to_release)
+          pardon(sv.src_addr, st, event.window_index, now_ns);
+      }
+    }
+  }
+
+  bool rejoin(std::uint32_t src_addr, std::uint64_t window_index, std::int64_t now_ns) {
+    auto it = sources_.find(src_addr);
+    if (it == sources_.end() || !it->second.quarantined) return false;
+    it->second = SourceState{};
+    log(ActionType::kProbationRejoin, window_index, src_addr, 0, now_ns);
+    return true;
+  }
+
+  bool is_quarantined(std::uint32_t src_addr) const {
+    const auto it = sources_.find(src_addr);
+    return it != sources_.end() && it->second.quarantined;
+  }
+  const ActionLog& action_log() const { return log_; }
+  std::size_t sources_tracked() const { return sources_.size(); }
+  std::size_t active_acls() const { return acl_sources_.size(); }
+  std::size_t active_limits() const {
+    std::size_t n = 0;
+    for (const auto& [src, st] : sources_) n += st.limited;
+    return n;
+  }
+
+ private:
+  struct SourceState {
+    std::uint32_t strikes = 0;
+    std::uint32_t clean = 0;
+    bool limited = false;
+    bool acl = false;
+    bool quarantined = false;
+    std::int64_t acl_expires_ns = 0;
+  };
+
+  void log(ActionType type, std::uint64_t window_index, std::uint32_t src_addr,
+           std::uint64_t arg, std::int64_t now_ns) {
+    log_.append(Action{.t_ns = now_ns,
+                       .window_index = window_index,
+                       .type = type,
+                       .src_addr = src_addr,
+                       .arg = arg});
+  }
+
+  void escalate(std::uint32_t src_addr, SourceState& st, std::uint64_t window_index,
+                std::int64_t now_ns) {
+    if (cfg_.enable_quarantine && hooks_.quarantine &&
+        st.strikes >= cfg_.strikes_to_quarantine) {
+      if (hooks_.quarantine(src_addr)) {
+        st.quarantined = true;
+        if (st.acl) {
+          st.acl = false;
+          acl_sources_.erase(src_addr);
+          if (hooks_.remove_acl) hooks_.remove_acl(src_addr);
+          log(ActionType::kAclRelease, window_index, src_addr, 0, now_ns);
+        }
+        if (st.limited) {
+          st.limited = false;
+          if (hooks_.remove_limit) hooks_.remove_limit(src_addr);
+          log(ActionType::kRateLimitRelease, window_index, src_addr, 0, now_ns);
+        }
+        log(ActionType::kQuarantine, window_index, src_addr, st.strikes, now_ns);
+        return;
+      }
+    }
+    if (cfg_.enable_acl && st.strikes >= cfg_.strikes_to_acl) {
+      if (!st.acl) {
+        st.acl = true;
+        acl_sources_.insert(src_addr);
+        st.acl_expires_ns = now_ns + cfg_.acl_ttl.ns();
+        if (hooks_.install_acl) hooks_.install_acl(src_addr);
+        log(ActionType::kAclInstall, window_index, src_addr,
+            static_cast<std::uint64_t>(cfg_.acl_ttl.ns()), now_ns);
+        if (st.limited) {
+          st.limited = false;
+          if (hooks_.remove_limit) hooks_.remove_limit(src_addr);
+          log(ActionType::kRateLimitRelease, window_index, src_addr, 0, now_ns);
+        }
+      } else {
+        st.acl_expires_ns = now_ns + cfg_.acl_ttl.ns();
+      }
+      return;
+    }
+    if (cfg_.enable_rate_limit && st.strikes >= cfg_.strikes_to_limit && !st.limited &&
+        !st.acl) {
+      st.limited = true;
+      if (hooks_.install_limit) hooks_.install_limit(src_addr, cfg_.limit_pps, cfg_.limit_burst);
+      log(ActionType::kRateLimitInstall, window_index, src_addr,
+          static_cast<std::uint64_t>(cfg_.limit_pps), now_ns);
+    }
+  }
+
+  void pardon(std::uint32_t src_addr, SourceState& st, std::uint64_t window_index,
+              std::int64_t now_ns) {
+    st.strikes = 0;
+    if (st.limited) {
+      st.limited = false;
+      if (hooks_.remove_limit) hooks_.remove_limit(src_addr);
+      log(ActionType::kRateLimitRelease, window_index, src_addr, st.clean, now_ns);
+    }
+  }
+
+  MitigationConfig cfg_;
+  std::uint32_t protected_addr_;
+  VerdictPolicy::Hooks hooks_;
+  std::uint64_t last_model_version_ = 1;
+  std::map<std::uint32_t, SourceState> sources_;
+  std::set<std::uint32_t> acl_sources_;
+  ActionLog log_;
+};
+
+/// Hooks that append every call, in order, to `calls`; the quarantine
+/// hook succeeds for every seventh address.
+VerdictPolicy::Hooks recording_hooks(std::vector<std::string>& calls) {
+  VerdictPolicy::Hooks hooks;
+  const auto note = [&calls](const char* what, std::uint32_t src) {
+    calls.push_back(std::string{what} + " " + std::to_string(src));
+  };
+  hooks.install_acl = [note](std::uint32_t src) { note("install_acl", src); };
+  hooks.remove_acl = [note](std::uint32_t src) { note("remove_acl", src); };
+  hooks.install_limit = [note](std::uint32_t src, double, double) { note("install_limit", src); };
+  hooks.remove_limit = [note](std::uint32_t src) { note("remove_limit", src); };
+  hooks.quarantine = [note](std::uint32_t src) {
+    note("quarantine", src);
+    return src % 7 == 0;
+  };
+  return hooks;
+}
+
+class VerdictPolicyOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(VerdictPolicyOracleTest, FlatArraysReplayTheMapPolicy) {
+  // ~20k sources. Windows are ascending samples with gaps; the address
+  // plan opens in three phases (every 4th, every 2nd, then every address)
+  // so later windows bring new sources between tracked ones. Some windows
+  // are shuffled, some repeat sources, some carry the protected address,
+  // and the model version bumps twice. Short ACL TTLs make expiry churn;
+  // quarantined sources rejoin on a schedule.
+  constexpr std::uint32_t kBase = (10u << 24) | (1u << 16);
+  constexpr std::uint32_t kUniverse = 20000;
+  const std::uint32_t protected_addr = kBase + 4321;
+  MitigationConfig cfg;
+  cfg.enable_quarantine = true;
+  cfg.min_packets = 4;
+  cfg.acl_ttl = SimTime::millis(500);
+
+  std::vector<std::string> flat_calls;
+  std::vector<std::string> map_calls;
+  VerdictPolicy flat{cfg, protected_addr};
+  flat.set_hooks(recording_hooks(flat_calls));
+  MapPolicy oracle{cfg, protected_addr, recording_hooks(map_calls)};
+
+  util::Rng rng{GetParam()};
+  std::uint64_t model_version = 1;
+  std::vector<std::uint32_t> quarantined;
+  for (std::uint64_t w = 0; w < 90; ++w) {
+    const std::int64_t now = static_cast<std::int64_t>(w + 1) * SimTime::millis(100).ns();
+    flat.expire_acls(now, w);
+    oracle.expire_acls(now, w);
+
+    const std::uint32_t stride = w < 30 ? 4 : w < 60 ? 2 : 1;
+    std::vector<std::uint32_t> addrs;
+    const std::size_t count = 1000 + rng.uniform_u64(5000);
+    for (std::size_t k = 0; k < count; ++k)
+      addrs.push_back(kBase +
+                      stride * static_cast<std::uint32_t>(rng.uniform_u64(kUniverse / stride)));
+    if (w % 5 == 0) addrs.push_back(protected_addr);
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+    if (w % 9 == 8) rng.shuffle(addrs);
+    if (w % 7 == 3) {
+      for (std::size_t k = 0; k < 50; ++k) addrs.push_back(addrs[rng.uniform_u64(addrs.size())]);
+    }
+    if (w == 40 || w == 75) ++model_version;
+
+    ids::WindowVerdictEvent event;
+    event.window_index = w;
+    event.model_version = model_version;
+    for (const std::uint32_t a : addrs) {
+      ids::SourceVerdict sv{.src_addr = a,
+                            .packets = static_cast<std::uint32_t>(rng.uniform_u64(20))};
+      // A low block floods most windows, so every rung gets climbed.
+      const bool hot = a < kBase + 3000 && rng.bernoulli(0.8);
+      sv.flagged = hot ? sv.packets : static_cast<std::uint32_t>(rng.uniform_u64(sv.packets + 1));
+      event.sources.push_back(sv);
+    }
+    const std::size_t map_calls_before = map_calls.size();
+    flat.process_event(event, now);
+    oracle.process_event(event, now);
+    for (std::size_t i = map_calls_before; i < map_calls.size(); ++i) {
+      if (map_calls[i].rfind("quarantine ", 0) == 0)
+        quarantined.push_back(static_cast<std::uint32_t>(std::stoul(map_calls[i].substr(11))));
+    }
+
+    if (w % 3 == 2 && !quarantined.empty()) {
+      for (int k = 0; k < 20; ++k) {
+        const std::uint32_t src =
+            rng.bernoulli(0.5) ? quarantined[rng.uniform_u64(quarantined.size())]
+                               : kBase + static_cast<std::uint32_t>(rng.uniform_u64(kUniverse));
+        ASSERT_EQ(flat.is_quarantined(src), oracle.is_quarantined(src)) << "window " << w;
+        ASSERT_EQ(flat.rejoin(src, w, now), oracle.rejoin(src, w, now)) << "window " << w;
+      }
+    }
+    ASSERT_EQ(flat.sources_tracked(), oracle.sources_tracked()) << "window " << w;
+    ASSERT_EQ(flat.active_acls(), oracle.active_acls()) << "window " << w;
+    ASSERT_EQ(flat.active_limits(), oracle.active_limits()) << "window " << w;
+    ASSERT_EQ(flat_calls.size(), map_calls.size()) << "window " << w;
+    ASSERT_EQ(flat.action_log().size(), oracle.action_log().size()) << "window " << w;
+  }
+  EXPECT_EQ(flat.action_log().lines(), oracle.action_log().lines());
+  EXPECT_EQ(flat_calls, map_calls);
+  // The stream must exercise what it claims to.
+  const auto count_type = [&oracle](ActionType t) {
+    return std::count_if(oracle.action_log().actions().begin(),
+                         oracle.action_log().actions().end(),
+                         [t](const Action& a) { return a.type == t; });
+  };
+  EXPECT_GT(oracle.sources_tracked(), 15000u);
+  EXPECT_GT(count_type(ActionType::kRateLimitInstall), 0);
+  EXPECT_GT(count_type(ActionType::kAclExpire), 0);
+  EXPECT_GT(count_type(ActionType::kQuarantine), 0);
+  EXPECT_GT(count_type(ActionType::kProbationRejoin), 0);
+  EXPECT_EQ(count_type(ActionType::kModelSwap), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VerdictPolicyOracleTest, ::testing::Values(1u, 2u, 3u));
 
 // --------------------------------------------------------------------------
 // End-to-end survival under a SYN flood
