@@ -46,6 +46,6 @@ int main(int argc, char** argv) {
 
   ds.save_csv(out_path);
   std::printf("wrote %zu labelled packets to %s\n", ds.size(), out_path.c_str());
-  std::printf("reload with capture::Dataset::load_csv() or any CSV tool.\n");
+  std::printf("load it with any CSV tool.\n");
   return 0;
 }

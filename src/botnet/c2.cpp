@@ -125,11 +125,4 @@ std::size_t C2Server::stop_attack() {
   return sent;
 }
 
-std::vector<std::string> C2Server::bot_names() const {
-  std::vector<std::string> names;
-  names.reserve(bots_.size());
-  for (const auto& [name, slot] : bots_) names.push_back(name);
-  return names;
-}
-
 }  // namespace ddoshield::botnet

@@ -54,7 +54,6 @@ class C2Server : public apps::App {
 
   std::size_t connected_bots() const { return bots_.size(); }
   std::uint64_t total_registrations() const { return total_registrations_; }
-  std::vector<std::string> bot_names() const;
 
  protected:
   void on_start() override;

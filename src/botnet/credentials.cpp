@@ -1,6 +1,5 @@
 #include "botnet/credentials.hpp"
 
-#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -35,8 +34,6 @@ const std::vector<Credential>& dictionary() {
 }
 
 }  // namespace
-
-std::span<const Credential> default_credential_dictionary() { return dictionary(); }
 
 const Credential& credential_at(std::size_t index) {
   const auto& d = dictionary();

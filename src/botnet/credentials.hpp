@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 
 namespace ddoshield::botnet {
@@ -20,12 +19,9 @@ struct Credential {
   bool operator==(const Credential&) const = default;
 };
 
-/// The scanner's dictionary, in the weighted order Mirai tried them.
-std::span<const Credential> default_credential_dictionary();
-
-/// Convenience: the dictionary entry at `index` (throws std::out_of_range
-/// past the end). Device profiles reference entries by index so scenarios
-/// stay readable.
+/// The scanner's dictionary entry at `index`, in the weighted order Mirai
+/// tried them (throws std::out_of_range past the end). Device profiles
+/// reference entries by index so scenarios stay readable.
 const Credential& credential_at(std::size_t index);
 
 std::size_t credential_dictionary_size();

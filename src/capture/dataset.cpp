@@ -34,24 +34,6 @@ void Dataset::save_csv(const std::string& path) const {
   if (!out) throw std::runtime_error("Dataset::save_csv: write failed for " + path);
 }
 
-Dataset Dataset::load_csv(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw std::runtime_error("Dataset::load_csv: cannot open " + path);
-  Dataset ds;
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("Dataset::load_csv: empty file " + path);
-  }
-  if (line != PacketRecord::csv_header()) {
-    throw std::runtime_error("Dataset::load_csv: unexpected header in " + path);
-  }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ds.add(PacketRecord::from_csv(line));
-  }
-  return ds;
-}
-
 std::string Dataset::composition_summary() const {
   std::ostringstream os;
   os << "packets=" << size() << " malicious=" << malicious_count()

@@ -1,4 +1,4 @@
-// Labelled packet dataset: in-memory store plus CSV persistence.
+// Labelled packet dataset: in-memory store plus CSV export.
 //
 // A generation run fills a Dataset through the tap; the ML pipeline trains
 // from it; EXPERIMENTS.md quotes its composition against the paper's
@@ -34,8 +34,6 @@ class Dataset {
 
   /// Writes header + rows; throws std::runtime_error on I/O failure.
   void save_csv(const std::string& path) const;
-  /// Loads a file produced by save_csv.
-  static Dataset load_csv(const std::string& path);
 
   std::string composition_summary() const;
 

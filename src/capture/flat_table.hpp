@@ -12,7 +12,7 @@
 //
 // Iteration order is slot order — deterministic for a given insertion
 // sequence, but not sorted; consumers that need a canonical order (CSV
-// exports, event logs) must sort, which FlowTable::sorted_flows() does.
+// exports, event logs) must sort.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "capture/flow.hpp"
 
-#include <algorithm>
-
 namespace ddoshield::capture {
 
 void FlowTable::add(const PacketRecord& record) {
@@ -18,49 +16,12 @@ void FlowTable::add(const PacketRecord& record) {
   flow.malicious = flow.malicious || record.is_malicious();
 }
 
-std::vector<std::pair<FlowKey, FlowRecord>> FlowTable::sorted_flows() const {
-  std::vector<std::pair<FlowKey, FlowRecord>> out;
-  out.reserve(flows_.size());
-  flows_.for_each([&](const FlowKey& key, const FlowRecord& flow) { out.emplace_back(key, flow); });
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
 std::size_t FlowTable::short_lived_count(util::SimTime max_duration,
                                          std::uint64_t max_packets) const {
   std::size_t n = 0;
   flows_.for_each([&](const FlowKey&, const FlowRecord& flow) {
     if (flow.duration() <= max_duration && flow.packets <= max_packets) ++n;
   });
-  return n;
-}
-
-namespace {
-struct AttemptKey {
-  std::uint32_t src_addr = 0;
-  std::uint32_t dst_addr = 0;
-  std::uint16_t dst_port = 0;
-  friend bool operator==(const AttemptKey&, const AttemptKey&) = default;
-};
-struct AttemptKeyHash {
-  std::size_t operator()(const AttemptKey& k) const {
-    const std::uint64_t addrs = (std::uint64_t{k.src_addr} << 32) | k.dst_addr;
-    return static_cast<std::size_t>(mix_u64(addrs ^ mix_u64(k.dst_port)));
-  }
-};
-}  // namespace
-
-std::size_t FlowTable::repeated_attempt_sources(std::uint32_t min_syns) const {
-  FlatTable<AttemptKey, std::uint32_t, AttemptKeyHash> syns;
-  flows_.for_each([&](const FlowKey& key, const FlowRecord& flow) {
-    if (flow.syn_count > 0) {
-      syns.find_or_insert(AttemptKey{key.src_addr, key.dst_addr, key.dst_port}) +=
-          flow.syn_count;
-    }
-  });
-  std::size_t n = 0;
-  syns.for_each([&](const AttemptKey&, const std::uint32_t& count) { n += count >= min_syns; });
   return n;
 }
 

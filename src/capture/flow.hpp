@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "capture/flat_table.hpp"
 #include "capture/packet_record.hpp"
@@ -70,16 +69,9 @@ class FlowTable {
     flows_.for_each(std::forward<Fn>(fn));
   }
 
-  /// All flows sorted by key — the canonical order for exports and logs.
-  std::vector<std::pair<FlowKey, FlowRecord>> sorted_flows() const;
-
   /// Flows shorter than `max_duration` with at most `max_packets` packets —
   /// the scanning / failed-handshake signature.
   std::size_t short_lived_count(util::SimTime max_duration, std::uint64_t max_packets) const;
-
-  /// Number of (src, dst, dst_port) aggregates with at least `min_syns`
-  /// SYNs — repeated connection attempts.
-  std::size_t repeated_attempt_sources(std::uint32_t min_syns) const;
 
   void clear() { flows_.clear(); }
 

@@ -1,8 +1,6 @@
 #include "capture/packet_record.hpp"
 
 #include <sstream>
-#include <stdexcept>
-#include <vector>
 
 namespace ddoshield::capture {
 
@@ -36,38 +34,6 @@ std::string PacketRecord::to_csv() const {
      << ',' << seq << ',' << payload_bytes << ',' << wire_bytes << ','
      << static_cast<int>(label) << ',' << static_cast<int>(origin);
   return os.str();
-}
-
-PacketRecord PacketRecord::from_csv(const std::string& line) {
-  std::vector<std::uint64_t> fields;
-  fields.reserve(12);
-  std::istringstream is{line};
-  std::string cell;
-  while (std::getline(is, cell, ',')) {
-    try {
-      fields.push_back(std::stoull(cell));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("PacketRecord::from_csv: bad cell '" + cell + "'");
-    }
-  }
-  if (fields.size() != 12) {
-    throw std::invalid_argument("PacketRecord::from_csv: expected 12 fields, got " +
-                                std::to_string(fields.size()));
-  }
-  PacketRecord r;
-  r.timestamp = util::SimTime::nanos(static_cast<std::int64_t>(fields[0]));
-  r.src_addr = static_cast<std::uint32_t>(fields[1]);
-  r.dst_addr = static_cast<std::uint32_t>(fields[2]);
-  r.src_port = static_cast<std::uint16_t>(fields[3]);
-  r.dst_port = static_cast<std::uint16_t>(fields[4]);
-  r.protocol = static_cast<std::uint8_t>(fields[5]);
-  r.tcp_flags = static_cast<std::uint8_t>(fields[6]);
-  r.seq = static_cast<std::uint32_t>(fields[7]);
-  r.payload_bytes = static_cast<std::uint32_t>(fields[8]);
-  r.wire_bytes = static_cast<std::uint32_t>(fields[9]);
-  r.label = static_cast<net::TrafficClass>(fields[10]);
-  r.origin = static_cast<net::TrafficOrigin>(fields[11]);
-  return r;
 }
 
 }  // namespace ddoshield::capture

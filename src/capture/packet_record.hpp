@@ -43,9 +43,6 @@ struct PacketRecord {
   /// CSV row matching csv_header().
   std::string to_csv() const;
   static std::string csv_header();
-  /// Parses a row produced by to_csv; throws std::invalid_argument on
-  /// malformed input.
-  static PacketRecord from_csv(const std::string& line);
 };
 
 }  // namespace ddoshield::capture

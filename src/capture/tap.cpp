@@ -1,7 +1,6 @@
 #include "capture/tap.hpp"
 
 #include "obs/flight.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 
 namespace ddoshield::capture {
@@ -16,7 +15,7 @@ PacketTap::PacketTap(TapConfig config)
       m_batch_partial_{
           &obs::MetricsRegistry::global().counter("capture.batch.partial_flushes")},
       flight_{&obs::FlightRecorder::global()},
-      lat_tap_ns_{&obs::LatencyTracker::global().series("flight.capture.tap_lag_ns")} {
+      lat_tap_ns_{&obs::MetricsRegistry::global().latency("flight.capture.tap_lag_ns")} {
   if (config_.batch_capacity == 0) config_.batch_capacity = 1;
   batch_.set_clock_offset_ns(config_.clock_offset.ns());
 }

@@ -32,11 +32,10 @@
 #include "capture/packet_record.hpp"
 #include "capture/record_batch.hpp"
 #include "net/node.hpp"
+#include "obs/metrics.hpp"
 
 namespace ddoshield::obs {
-class Counter;
 class FlightRecorder;
-class LogLinearHistogram;
 }
 
 namespace ddoshield::capture {

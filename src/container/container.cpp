@@ -4,15 +4,6 @@
 
 namespace ddoshield::container {
 
-std::string to_string(ContainerState s) {
-  switch (s) {
-    case ContainerState::kCreated: return "created";
-    case ContainerState::kRunning: return "running";
-    case ContainerState::kStopped: return "stopped";
-  }
-  return "?";
-}
-
 Container::Container(std::string name, Image image)
     : name_{std::move(name)}, image_{std::move(image)} {}
 
@@ -28,11 +19,6 @@ net::Node& Container::node() {
     throw std::logic_error("Container::node: no node attached to " + name_);
   }
   return *node_;
-}
-
-std::string Container::env(const std::string& key, const std::string& fallback) const {
-  const auto it = env_.find(key);
-  return it == env_.end() ? fallback : it->second;
 }
 
 void Container::start() {

@@ -3,18 +3,16 @@
 // DDoShield-IoT runs each role (Devs, Attacker, TServer, IDS) as a Docker
 // container bridged onto the NS-3 network through a ghost node. This module
 // reproduces the *semantics* that matter to the testbed: named images with
-// an entrypoint, container lifecycle (created → running → stopped), a
-// network bridge binding the container to exactly one simulated node, and
-// per-container resource accounting (the `docker stats` role).
+// an entrypoint, container lifecycle (created → running → stopped), and a
+// network bridge binding the container to exactly one simulated node.
+// Table II's CPU and memory figures come from the IDS's own
+// ids::ResourceMeter.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "container/resource_account.hpp"
 #include "net/node.hpp"
 
 namespace ddoshield::container {
@@ -35,8 +33,6 @@ struct Image {
 
 enum class ContainerState { kCreated, kRunning, kStopped };
 
-std::string to_string(ContainerState s);
-
 class Container {
  public:
   Container(std::string name, Image image);
@@ -52,11 +48,6 @@ class Container {
   void attach_node(net::Node& node);
   bool has_node() const { return node_ != nullptr; }
   net::Node& node();
-
-  // --- environment -----------------------------------------------------------
-  void set_env(const std::string& key, std::string value) { env_[key] = std::move(value); }
-  /// Returns the value or `fallback` when unset.
-  std::string env(const std::string& key, const std::string& fallback = {}) const;
 
   // --- lifecycle -----------------------------------------------------------
   /// Runs the image entrypoint. Throws if already running or no node bound.
@@ -75,17 +66,12 @@ class Container {
   bool last_exit_crashed() const { return last_exit_crashed_; }
   std::uint64_t restart_count() const { return restart_count_; }
 
-  ResourceAccount& resources() { return resources_; }
-  const ResourceAccount& resources() const { return resources_; }
-
  private:
   std::string name_;
   Image image_;
   ContainerState state_ = ContainerState::kCreated;
   net::Node* node_ = nullptr;
-  std::map<std::string, std::string> env_;
   std::vector<std::function<void()>> stop_hooks_;
-  ResourceAccount resources_;
   bool started_once_ = false;
   bool last_exit_crashed_ = false;
   std::uint64_t restart_count_ = 0;

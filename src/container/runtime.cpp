@@ -35,15 +35,6 @@ Container& ContainerRuntime::get(const std::string& container_name) {
   return *it->second;
 }
 
-void ContainerRuntime::remove(const std::string& container_name) {
-  auto it = containers_.find(container_name);
-  if (it == containers_.end()) {
-    throw std::invalid_argument("ContainerRuntime: no such container " + container_name);
-  }
-  it->second->stop();
-  containers_.erase(it);
-}
-
 void ContainerRuntime::stop_all() {
   for (auto& [name, c] : containers_) c->stop();
 }

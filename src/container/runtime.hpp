@@ -26,9 +26,6 @@ class ContainerRuntime {
     return containers_.contains(container_name);
   }
 
-  /// Stops (if running) and removes the container.
-  void remove(const std::string& container_name);
-
   /// Stops every running container (testbed teardown).
   void stop_all();
 

@@ -110,11 +110,6 @@ void ShardIdsPipeline::arm() {
     m_window_rows_ = &reg.gauge("ids.window_rows");
     m_detect_lag_p99_ = &reg.gauge("ids.detect_lag_p99_ns");
     m_detect_lag_ns_ = &reg.histogram("ids.detect_lag_ns");
-    // Arm from a clean level: in a shared (process-global) registry a
-    // previous run's last window would otherwise read as a pre-warmup
-    // detection lag and trip the SLO before any traffic flows.
-    m_window_rows_->set(0.0);
-    m_detect_lag_p99_->set(0.0);
   }
   mitigate::VerdictPolicy::Hooks hooks;
   hooks.install_acl = [this](std::uint32_t src) {

@@ -51,13 +51,8 @@
 #include "mitigate/mitigation.hpp"
 #include "mitigate/policy.hpp"
 #include "ml/classifier.hpp"
+#include "obs/metrics.hpp"
 #include "util/sim_time.hpp"
-
-namespace ddoshield::obs {
-class Counter;
-class Gauge;
-class Histogram;
-}
 
 namespace ddoshield::core {
 

@@ -29,15 +29,13 @@ class ShardedSim::RunState {
 ShardedSim::ShardedSim(ShardSimConfig config) : config_{config} {
   if (config_.shard_count == 0)
     throw std::invalid_argument("ShardedSim: shard_count must be >= 1");
-  use_domains_ = config_.shard_count > 1;
   shards_.reserve(config_.shard_count);
   for (std::size_t s = 0; s < config_.shard_count; ++s) {
     auto shard = std::make_unique<Shard>();
     {
       // The simulator caches its instrument pointers at construction, so
-      // it must be built with the shard's domain installed (S == 1 keeps
-      // the process globals — bit-identical to a plain Simulator).
-      obs::ScopedObsDomain scope{use_domains_ ? &shard->domain : nullptr};
+      // it must be built with the shard's domain installed.
+      obs::ScopedObsDomain scope{shard->domain};
       shard->sim = std::make_unique<net::Simulator>();
     }
     // Disjoint uid ranges per shard: fleet-unique packet uids whose top
@@ -53,16 +51,14 @@ net::Simulator& ShardedSim::simulator(std::size_t shard) {
   return *shards_.at(shard)->sim;
 }
 
-obs::ObsDomain* ShardedSim::domain(std::size_t shard) {
-  return use_domains_ ? &shards_.at(shard)->domain : nullptr;
-}
+obs::ObsDomain& ShardedSim::domain(std::size_t shard) { return shards_.at(shard)->domain; }
 
 net::Node& ShardedSim::add_node(std::size_t shard, const std::string& name,
                                 net::Ipv4Address addr) {
   Shard& sh = *shards_.at(shard);
   std::unique_ptr<net::Node> node;
   {
-    obs::ScopedObsDomain scope{use_domains_ ? &sh.domain : nullptr};
+    obs::ScopedObsDomain scope{sh.domain};
     node = std::make_unique<net::Node>(*sh.sim, name, addr);
   }
   net::Node& ref = *node;
@@ -83,7 +79,7 @@ net::Link& ShardedSim::connect(net::Node& a, net::Node& b, net::LinkConfig confi
   const std::size_t sb = shard_of(b);
 
   if (sa == sb) {
-    obs::ScopedObsDomain scope{use_domains_ ? &shards_[sa]->domain : nullptr};
+    obs::ScopedObsDomain scope{shards_[sa]->domain};
     links_.push_back(
         std::make_unique<net::Link>(*shards_[sa]->sim, a, b, config));
     return *links_.back();
@@ -109,12 +105,12 @@ net::Link& ShardedSim::connect(net::Node& a, net::Node& b, net::LinkConfig confi
     // Construct under a's domain (resolves both directions there), then
     // re-resolve b's transmit side under b's domain so each shard thread
     // counts into its own instruments.
-    obs::ScopedObsDomain scope{use_domains_ ? &shards_[sa]->domain : nullptr};
+    obs::ScopedObsDomain scope{shards_[sa]->domain};
     link = std::make_unique<net::Link>(*shards_[sa]->sim, *shards_[sb]->sim, a, b,
                                        config, a_to_b, b_to_a);
   }
   {
-    obs::ScopedObsDomain scope{use_domains_ ? &shards_[sb]->domain : nullptr};
+    obs::ScopedObsDomain scope{shards_[sb]->domain};
     link->rebind_obs(b);
   }
 
@@ -206,7 +202,7 @@ void ShardedSim::for_each_shard(const std::function<void(std::size_t)>& fn) {
   if (rs == nullptr) {
     // S == 1, or no run in progress: nobody to hand the calls to.
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      obs::ScopedObsDomain scope{domain(s)};
+      obs::ScopedObsDomain scope{shards_[s]->domain};
       fn(s);
     }
     return;
@@ -235,7 +231,7 @@ void ShardedSim::for_each_shard(const std::function<void(std::size_t)>& fn) {
 void ShardedSim::worker(std::size_t shard_index, util::SimTime t0,
                         util::SimTime until, std::int64_t lookahead_ns) {
   Shard& shard = *shards_[shard_index];
-  obs::ScopedObsDomain scope{&shard.domain};
+  obs::ScopedObsDomain scope{shard.domain};
   RunState& rs = *run_state_;
   const bool have_hooks = !hooks_.empty();
   // The window cursor is thread-local on purpose: every worker computes
@@ -333,15 +329,11 @@ void ShardedSim::add_sync_hook(util::SimTime period, std::function<void(util::Si
   hooks_.push_back(SyncHook{period.ns(), std::move(fn)});
 }
 
-void ShardedSim::set_sync_hook(util::SimTime period, std::function<void(util::SimTime)> fn) {
-  if (fn && period.ns() <= 0)
-    throw std::invalid_argument("ShardedSim: sync hook period must be positive");
-  hooks_.clear();
-  if (fn) hooks_.push_back(SyncHook{period.ns(), std::move(fn)});
-}
-
 void ShardedSim::run_until(util::SimTime until) {
   if (shards_.size() == 1) {
+    // The one shard runs inline on the calling thread, in its own domain
+    // like every shard of a threaded run.
+    obs::ScopedObsDomain scope{shards_[0]->domain};
     net::Simulator& sim = *shards_[0]->sim;
     if (hooks_.empty()) {
       sim.run_until(until);
@@ -406,7 +398,7 @@ double ShardedSim::load_imbalance() {
 }
 
 void ShardedSim::merge_metrics() {
-  if (!use_domains_ || merged_) return;
+  if (merged_) return;
   merged_ = true;
   for (auto& shard : shards_) shard->domain.merge_into_process_globals();
 }

@@ -28,8 +28,9 @@
 // receiving shard only, iterating its inbound channels in creation order
 // with per-channel FIFO — so calendar seq assignment, and therefore every
 // tie-break, replays identically. Single-shard mode takes none of these
-// paths (no threads, no windows, no channels, process-global observation)
-// and is bit-identical to driving a plain Simulator.
+// paths (no threads, no windows, no channels) and is bit-identical to
+// driving a plain Simulator; its one shard still observes into a private
+// domain, like every shard of a threaded run.
 #pragma once
 
 #include <atomic>
@@ -81,8 +82,8 @@ class ShardedSim {
 
   std::size_t shard_count() const { return shards_.size(); }
   net::Simulator& simulator(std::size_t shard);
-  /// The shard's private observation domain (process globals when S == 1).
-  obs::ObsDomain* domain(std::size_t shard);
+  /// The shard's private observation domain (every S, including 1).
+  obs::ObsDomain& domain(std::size_t shard);
 
   /// Creates a node owned by, and scheduled on, the given shard. The
   /// node's cached instrument pointers resolve into the shard's domain.
@@ -135,9 +136,6 @@ class ShardedSim {
   /// (not a shard event, and not `fn` itself).
   void for_each_shard(const std::function<void(std::size_t)>& fn);
 
-  /// Legacy single-hook form: clears every registered hook, then (fn
-  /// non-null) registers exactly one. set_sync_hook(t, nullptr) clears.
-  void set_sync_hook(util::SimTime period, std::function<void(util::SimTime)> fn);
   std::size_t sync_hook_count() const { return hooks_.size(); }
 
   /// Effective lookahead the next run will use (zero until a cross-shard
@@ -161,10 +159,9 @@ class ShardedSim {
   /// intended for exactly one telemetry probe.
   double load_imbalance();
 
-  /// Folds every shard's private metrics/latency domain into the
-  /// process-wide singletons so one snapshot covers the fleet. Call once
-  /// after the final run; idempotent. No-op when S == 1 (everything
-  /// already lives in the process globals).
+  /// Folds every shard's private metrics domain into the process-wide
+  /// registry so one snapshot covers the fleet. Call once after the final
+  /// run; idempotent.
   void merge_metrics();
 
  private:
@@ -199,7 +196,6 @@ class ShardedSim {
   void record_failure();
 
   ShardSimConfig config_;
-  bool use_domains_ = false;  // S > 1: per-shard observation domains
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<net::ShardChannel>> channels_;
   std::vector<std::unique_ptr<net::Link>> links_;

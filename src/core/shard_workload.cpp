@@ -323,8 +323,8 @@ ShardWorkloadResult run_shard_workload(const ShardWorkloadConfig& config) {
 
   // --- live telemetry -------------------------------------------------------
   // A second sync hook (after the IDS hook, so shared boundaries close the
-  // window before sampling it) folds the process globals plus every shard
-  // domain into the time-series store each interval. Sim-domain series are
+  // window before sampling it) folds every shard domain into the
+  // time-series store each interval. Sim-domain series are
   // functions of the seed alone; wall-domain series carry the shard-health
   // profile and are excluded from the cross-layout equality contract.
   std::unique_ptr<obs::TelemetryCollector> telemetry;
@@ -333,16 +333,11 @@ ShardWorkloadResult run_shard_workload(const ShardWorkloadConfig& config) {
     obs::TelemetryConfig tcfg = config.telemetry_cfg;
     telemetry =
         std::make_unique<obs::TelemetryCollector>(tcfg, obs::MetricsRegistry::global());
-    // S > 1: every sampled instrument lives in a (fresh) shard domain, so
-    // fold only those — the process globals would contribute stale totals
-    // from earlier runs in this process. S == 1 has no domains; everything
-    // lives in the globals.
-    if (sim.domain(0) == nullptr) {
-      telemetry->add_source(&obs::MetricsRegistry::global());
-    } else {
-      for (std::size_t s = 0; s < sim.shard_count(); ++s)
-        telemetry->add_source(&sim.domain(s)->registry);
-    }
+    // Every sampled instrument lives in a (fresh) shard domain, so fold
+    // only those: the process globals would contribute stale totals from
+    // earlier runs in this process.
+    for (std::size_t s = 0; s < sim.shard_count(); ++s)
+      telemetry->add_source(&sim.domain(s).registry);
 
     telemetry->add_counter("capture.tap.packets", obs::SeriesDomain::kSim);
     telemetry->add_counter("capture.batch.records", obs::SeriesDomain::kSim);

@@ -342,26 +342,28 @@ void Testbed::sample_throughput_every(SimTime interval) {
   net_.simulator().schedule(interval, [this] { throughput_tick(); });
 }
 
-obs::Sampler& Testbed::enable_metrics_sampling(SimTime period) {
+obs::TelemetryCollector& Testbed::enable_metrics_sampling(SimTime period) {
   if (!deployed_) throw std::logic_error("Testbed: deploy() before sampling");
-  obs::SamplerConfig cfg;
-  cfg.period = period;
+  obs::TelemetryConfig cfg;
+  cfg.interval = period;
   cfg.until = scenario_.duration;
-  sampler_ = std::make_unique<obs::Sampler>(obs::MetricsRegistry::global(), cfg);
-  sampler_->add_probe("testbed.sim_pending_events", [this] {
+  metrics_sampling_ =
+      std::make_unique<obs::TelemetryCollector>(cfg, obs::MetricsRegistry::global());
+  obs::TelemetryCollector& c = *metrics_sampling_;
+  c.add_probe("testbed.sim_pending_events", obs::SeriesDomain::kSim, [this] {
     return static_cast<double>(net_.simulator().pending_events());
   });
-  sampler_->add_probe("testbed.uplink_queue_bytes", [this] {
+  c.add_probe("testbed.uplink_queue_bytes", obs::SeriesDomain::kSim, [this] {
     return topo_.uplink->queue_backlog_bytes(*topo_.router);
   });
-  sampler_->add_probe("testbed.tserver_tcp_connections", [this] {
+  c.add_probe("testbed.tserver_tcp_connections", obs::SeriesDomain::kSim, [this] {
     return static_cast<double>(topo_.tserver->tcp().active_connections());
   });
-  sampler_->add_probe("testbed.ids_window_backlog", [this] {
+  c.add_probe("testbed.ids_window_backlog", obs::SeriesDomain::kSim, [this] {
     return ids_ ? static_cast<double>(ids_->window_backlog()) : 0.0;
   });
-  sampler_->start(net_.simulator());
-  return *sampler_;
+  c.start(net_.simulator());
+  return c;
 }
 
 void Testbed::throughput_tick() {

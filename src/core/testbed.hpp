@@ -29,7 +29,7 @@
 #include "mitigate/mitigation.hpp"
 #include "ml/classifier.hpp"
 #include "net/network.hpp"
-#include "obs/sampler.hpp"
+#include "obs/timeseries.hpp"
 
 namespace ddoshield::core {
 
@@ -113,12 +113,14 @@ class Testbed {
   /// Enables periodic throughput sampling (E6); call before run().
   void sample_throughput_every(util::SimTime interval);
 
-  /// Starts the obs sampler on the simulation clock: snapshots event-queue
-  /// depth, uplink queue occupancy, TServer active TCP connections, and —
-  /// when an IDS is deployed — the IDS window backlog into "testbed.*"
-  /// gauges every `period` of sim time until the scenario ends. Call after
-  /// deploy() (and after deploy_ids() to include the IDS probe).
-  obs::Sampler& enable_metrics_sampling(util::SimTime period = util::SimTime::millis(100));
+  /// Starts a telemetry collector on the simulation clock whose probes
+  /// snapshot event-queue depth, uplink queue occupancy, TServer active TCP
+  /// connections, and — when an IDS is deployed — the IDS window backlog
+  /// into "testbed.*" gauges every `period` of sim time until the scenario
+  /// ends. Call after deploy() (and after deploy_ids() to include the IDS
+  /// probe).
+  obs::TelemetryCollector& enable_metrics_sampling(
+      util::SimTime period = util::SimTime::millis(100));
 
  private:
   void build_containers();
@@ -170,7 +172,7 @@ class Testbed {
   std::unique_ptr<mitigate::MitigationController> mitigation_;
 
   // Observability.
-  std::unique_ptr<obs::Sampler> sampler_;
+  std::unique_ptr<obs::TelemetryCollector> metrics_sampling_;
 
   std::vector<ThroughputSample> throughput_;
   std::uint64_t last_benign_bytes_ = 0;

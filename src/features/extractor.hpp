@@ -15,12 +15,8 @@
 #include "capture/packet_record.hpp"
 #include "features/schema.hpp"
 #include "features/window_stats.hpp"
+#include "obs/metrics.hpp"
 #include "util/sim_time.hpp"
-
-namespace ddoshield::obs {
-class Counter;
-class Histogram;
-}
 
 namespace ddoshield::features {
 

@@ -13,11 +13,7 @@ constexpr std::array<std::string_view, kFeatureCount> kNames = {
     "win_short_lived_flows", "win_repeated_attempts", "win_seq_variance_log",
     "win_mean_payload",     "win_udp_fraction",
 };
-}  // namespace
 
-std::span<const std::string_view> feature_names() { return kNames; }
-
-namespace {
 // The streaming loop assembles its vector in endpoint-pair order
 // (src addr, src port, dst addr, dst port — the tshark field order) with
 // protocol after the endpoints, and emits the statistical block in

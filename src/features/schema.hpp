@@ -44,10 +44,8 @@ inline constexpr std::size_t kFeatureCount = 17;
 
 using FeatureRow = std::array<double, kFeatureCount>;
 
-/// Human-readable feature names, index-aligned with the constants above.
-std::span<const std::string_view> feature_names();
-
-/// Name of one feature; throws std::out_of_range for bad indices.
+/// Human-readable name of one feature, index-aligned with the constants
+/// above; throws std::out_of_range for bad indices.
 std::string_view feature_name(std::size_t index);
 
 /// The column order the *streaming* feature implementation emits, as a

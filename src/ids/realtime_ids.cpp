@@ -6,7 +6,6 @@
 #include "capture/flat_table.hpp"
 #include "features/schema.hpp"
 #include "obs/flight.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -99,10 +98,9 @@ RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,
   m_model_version_->set(1.0);
 
   flight_ = &obs::FlightRecorder::global();
-  auto& lat = obs::LatencyTracker::global();
-  lat_detect_benign_ = &lat.series("flight." + model_->name() + ".detect_lag_ns.benign");
-  lat_detect_attack_ = &lat.series("flight." + model_->name() + ".detect_lag_ns.attack");
-  lat_infer_batch_ = &lat.series("flight.ids.infer_batch_ns");
+  lat_detect_benign_ = &reg.latency("flight." + model_->name() + ".detect_lag_ns.benign");
+  lat_detect_attack_ = &reg.latency("flight." + model_->name() + ".detect_lag_ns.attack");
+  lat_infer_batch_ = &reg.latency("flight.ids.infer_batch_ns");
 }
 
 void RealTimeIds::attach_tap(capture::PacketTap& tap) {

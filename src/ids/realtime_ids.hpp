@@ -28,13 +28,10 @@
 #include "ml/design_matrix.hpp"
 #include "ml/lifecycle/manager.hpp"
 #include "ml/metrics.hpp"
+#include "obs/metrics.hpp"
 
 namespace ddoshield::obs {
-class Counter;
-class Gauge;
-class Histogram;
 class FlightRecorder;
-class LogLinearHistogram;
 }
 
 namespace ddoshield::ids {

@@ -15,23 +15,6 @@ namespace ddoshield::ml {
 namespace {
 constexpr std::uint32_t kMagic = 0x4D534444;           // "DDSM" little-endian
 constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kVersionedMagic = 0x56534444;  // "DDSV" little-endian
-constexpr std::uint32_t kVersionedFormat = 1;
-
-std::vector<std::uint8_t> read_file_bytes(const std::string& path, const char* who) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error(std::string{who} + ": cannot open " + path);
-  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-}
-
-void write_file_bytes(const std::vector<std::uint8_t>& bytes, const std::string& path,
-                      const char* who) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error(std::string{who} + ": cannot open " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error(std::string{who} + ": write failed for " + path);
-}
 }  // namespace
 
 std::vector<std::uint8_t> serialize_model(const Classifier& model) {
@@ -71,40 +54,6 @@ std::unique_ptr<Classifier> load_model_file(const std::string& path) {
   std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>{in},
                                   std::istreambuf_iterator<char>{}};
   return deserialize_model(bytes);
-}
-
-std::vector<std::uint8_t> serialize_versioned_model(const Classifier& model,
-                                                    std::uint64_t version) {
-  util::ByteWriter w;
-  w.put_u32(kVersionedMagic);
-  w.put_u32(kVersionedFormat);
-  w.put_u64(version);
-  w.put_bytes(serialize_model(model));  // embedded plain "DDSM" payload
-  return w.take();
-}
-
-VersionedModel deserialize_versioned_model(std::span<const std::uint8_t> bytes) {
-  util::ByteReader r{bytes};
-  if (r.get_u32() != kVersionedMagic) {
-    throw std::invalid_argument("deserialize_versioned_model: bad magic");
-  }
-  if (r.get_u32() != kVersionedFormat) {
-    throw std::invalid_argument("deserialize_versioned_model: unsupported version");
-  }
-  VersionedModel out;
-  out.version = r.get_u64();
-  out.model = deserialize_model(r.get_bytes());
-  return out;
-}
-
-void save_versioned_model_file(const Classifier& model, std::uint64_t version,
-                               const std::string& path) {
-  write_file_bytes(serialize_versioned_model(model, version), path,
-                   "save_versioned_model_file");
-}
-
-VersionedModel load_versioned_model_file(const std::string& path) {
-  return deserialize_versioned_model(read_file_bytes(path, "load_versioned_model_file"));
 }
 
 std::unique_ptr<Classifier> make_model(const std::string& name) {

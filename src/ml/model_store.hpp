@@ -28,25 +28,4 @@ std::unique_ptr<Classifier> load_model_file(const std::string& path);
 /// Creates an untrained model by name ("rf", "kmeans", "cnn").
 std::unique_ptr<Classifier> make_model(const std::string& name);
 
-// --- versioned models (lifecycle hot-swap, DESIGN.md §14) -------------------
-//
-// A versioned model file is:  magic "DDSV" | format version | u64 model
-// version | embedded plain model bytes.  The plain "DDSM" format is
-// untouched, so pre-lifecycle model files keep loading; the version stamp
-// is what the IDS serves in `ids.model_version` and what the ActionLog
-// records across a hot-swap.
-
-/// A (version, model) pair as persisted by the lifecycle manager.
-struct VersionedModel {
-  std::uint64_t version = 0;
-  std::unique_ptr<Classifier> model;
-};
-
-std::vector<std::uint8_t> serialize_versioned_model(const Classifier& model,
-                                                    std::uint64_t version);
-VersionedModel deserialize_versioned_model(std::span<const std::uint8_t> bytes);
-void save_versioned_model_file(const Classifier& model, std::uint64_t version,
-                               const std::string& path);
-VersionedModel load_versioned_model_file(const std::string& path);
-
 }  // namespace ddoshield::ml

@@ -44,8 +44,4 @@ std::string Ipv4Address::to_string() const {
   return os.str();
 }
 
-std::string Endpoint::to_string() const {
-  return addr.to_string() + ":" + std::to_string(port);
-}
-
 }  // namespace ddoshield::net

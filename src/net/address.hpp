@@ -44,7 +44,6 @@ struct Endpoint {
   std::uint16_t port = 0;
 
   friend constexpr auto operator<=>(const Endpoint&, const Endpoint&) = default;
-  std::string to_string() const;
 };
 
 }  // namespace ddoshield::net

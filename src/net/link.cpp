@@ -6,7 +6,6 @@
 #include "net/shard_channel.hpp"
 #include "net/simulator.hpp"
 #include "obs/flight.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 
 namespace ddoshield::net {
@@ -34,9 +33,8 @@ void Link::resolve_obs(int end) {
   dir.m_dropped_bytes = &reg.counter("net.link.dropped_bytes");
   dir.m_queue_bytes = &reg.gauge("net.link.queue_bytes");
   dir.flight = &obs::FlightRecorder::global();
-  auto& lat = obs::LatencyTracker::global();
-  dir.lat_queue_ns = &lat.series("flight.net.queue_ns");
-  dir.lat_transit_ns = &lat.series("flight.net.transit_ns");
+  dir.lat_queue_ns = &reg.latency("flight.net.queue_ns");
+  dir.lat_transit_ns = &reg.latency("flight.net.transit_ns");
 }
 
 void Link::rebind_obs(const Node& end) { resolve_obs(index_of(end)); }
@@ -48,10 +46,6 @@ int Link::index_of(const Node& n) const {
 }
 
 Node& Link::peer_of(const Node& n) const { return *ends_[1 - index_of(n)]; }
-
-Link::Direction& Link::direction_from(const Node& from) {
-  return dirs_[index_of(from)];
-}
 
 const LinkDirectionStats& Link::stats_from(const Node& from) const {
   return dirs_[index_of(from)].stats;

@@ -14,14 +14,12 @@
 #include <string>
 
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace ddoshield::obs {
-class Counter;
-class Gauge;
 class FlightRecorder;
-class LogLinearHistogram;
 }
 
 namespace ddoshield::net {
@@ -148,7 +146,6 @@ class Link {
     obs::LogLinearHistogram* lat_transit_ns = nullptr;
   };
 
-  Direction& direction_from(const Node& from);
   int index_of(const Node& n) const;
 
   void corrupt_header(Packet& pkt);

@@ -20,13 +20,6 @@ Link& Network::add_link(Node& a, Node& b, LinkConfig config) {
   return *links_.back();
 }
 
-Node* Network::find_node(const std::string& name) {
-  for (const auto& n : nodes_) {
-    if (n->name() == name) return n.get();
-  }
-  return nullptr;
-}
-
 StarTopology build_star_topology(Network& net, const StarTopologyConfig& config) {
   StarTopology topo;
 

@@ -27,7 +27,6 @@ class Network {
   /// Creates a duplex link between two owned nodes.
   Link& add_link(Node& a, Node& b, LinkConfig config = {});
 
-  Node* find_node(const std::string& name);
   std::size_t node_count() const { return nodes_.size(); }
   Node& node_at(std::size_t i) { return *nodes_.at(i); }
   std::size_t link_count() const { return links_.size(); }

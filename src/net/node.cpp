@@ -5,7 +5,6 @@
 #include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "obs/flight.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
@@ -28,7 +27,7 @@ Node::Node(Simulator& sim, std::string name, Ipv4Address addr)
   udp_ = std::make_unique<UdpHost>(*this);
   tcp_ = std::make_unique<TcpHost>(*this);
   flight_ = &obs::FlightRecorder::global();
-  lat_deliver_ns_ = &obs::LatencyTracker::global().series("flight.net.deliver_lag_ns");
+  lat_deliver_ns_ = &obs::MetricsRegistry::global().latency("flight.net.deliver_lag_ns");
   auto& reg = obs::MetricsRegistry::global();
   m_acl_dropped_ = &reg.counter("net.acl_dropped");
   m_ratelimit_dropped_ = &reg.counter("net.ratelimit_dropped");

@@ -17,11 +17,10 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/simulator.hpp"
+#include "obs/metrics.hpp"
 
 namespace ddoshield::obs {
-class Counter;
 class FlightRecorder;
-class LogLinearHistogram;
 }
 
 namespace ddoshield::net {

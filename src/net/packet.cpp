@@ -1,7 +1,5 @@
 #include "net/packet.hpp"
 
-#include <sstream>
-
 namespace ddoshield::net {
 
 std::string to_string(TrafficOrigin origin) {
@@ -30,23 +28,6 @@ TrafficClass traffic_class_of(TrafficOrigin origin) {
     default:
       return TrafficClass::kBenign;
   }
-}
-
-std::string Packet::summary() const {
-  std::ostringstream os;
-  os << src.to_string() << ':' << src_port << " > " << dst.to_string() << ':' << dst_port
-     << ' ' << (proto == IpProto::kTcp ? "tcp" : "udp");
-  if (proto == IpProto::kTcp) {
-    os << " [";
-    if (has_flag(TcpFlags::kSyn)) os << 'S';
-    if (has_flag(TcpFlags::kAck)) os << 'A';
-    if (has_flag(TcpFlags::kFin)) os << 'F';
-    if (has_flag(TcpFlags::kRst)) os << 'R';
-    if (has_flag(TcpFlags::kPsh)) os << 'P';
-    os << "] seq=" << seq << " ack=" << ack;
-  }
-  os << " len=" << payload_bytes << " origin=" << to_string(origin);
-  return os.str();
 }
 
 }  // namespace ddoshield::net

@@ -69,13 +69,6 @@ EventHandle Simulator::schedule_at(util::SimTime when, Callback fn) {
   return EventHandle{cancelled};
 }
 
-void Simulator::post(util::SimTime delay, Callback fn) {
-  if (delay.is_negative()) {
-    throw std::invalid_argument("Simulator::post: negative delay");
-  }
-  post_at(now_ + delay, std::move(fn));
-}
-
 void Simulator::post_at(util::SimTime when, Callback fn) {
   if (when < now_) {
     throw std::invalid_argument("Simulator::post_at: time in the past");
@@ -141,13 +134,6 @@ void Simulator::run_until(util::SimTime until) {
 void Simulator::run_all() {
   while (pending_ != 0) execute_next();
   flush_stats();
-}
-
-void Simulator::clear() {
-  for (EventHeap& bucket : calendar_.buckets) bucket.clear();
-  calendar_.overflow.clear();
-  calendar_.buffered = 0;
-  pending_ = 0;
 }
 
 void Simulator::execute_next() {

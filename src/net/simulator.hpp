@@ -17,7 +17,7 @@
 // against such a reference queue.
 //
 // Event closures are stored in SmallFn inline buffers and hot-path
-// callers use post()/post_at() (no cancellation token), so steady-state
+// callers use post_at() (no cancellation token), so steady-state
 // scheduling performs zero heap allocations; the owned PacketPool does
 // the same for packets in flight (see packet_pool.hpp).
 #pragma once
@@ -72,9 +72,8 @@ class Simulator {
   /// Schedules fn at an absolute simulated time >= now().
   EventHandle schedule_at(util::SimTime when, Callback fn);
 
-  /// Fire-and-forget variants: no cancellation handle, so no token
-  /// allocation. The packet hot path (link deliveries) uses these.
-  void post(util::SimTime delay, Callback fn);
+  /// Fire-and-forget variant: no cancellation handle, so no token
+  /// allocation. The packet hot path (link deliveries) uses it.
   void post_at(util::SimTime when, Callback fn);
 
   /// Runs events until the queue drains or the clock passes `until`.
@@ -86,13 +85,9 @@ class Simulator {
   /// Runs until the event queue is fully drained.
   void run_all();
 
-  /// Drops every pending event (used by teardown in tests). Pool slots
-  /// owned by dropped closures are reclaimed when the pool is destroyed.
-  void clear();
-
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t events_pending() const { return pending_; }
-  /// Alias of events_pending(), the name the obs sampler probes use.
+  /// Alias of events_pending(), the name the testbed probes use.
   std::size_t pending_events() const { return pending_; }
   /// Timestamp of the earliest pending event, or now() when the queue is
   /// empty. Non-const because the calendar's day hint may walk forward
@@ -136,7 +131,7 @@ class Simulator {
     util::SimTime when;
     std::uint64_t seq = 0;
     Callback fn;
-    std::shared_ptr<bool> cancelled;  // null for post()/post_at() events
+    std::shared_ptr<bool> cancelled;  // null for post_at() events
   };
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {

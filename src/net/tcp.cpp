@@ -40,17 +40,6 @@ std::string to_string(TcpState s) {
   return "?";
 }
 
-std::string to_string(TcpCloseReason r) {
-  switch (r) {
-    case TcpCloseReason::kGracefulClose: return "graceful";
-    case TcpCloseReason::kReset: return "reset";
-    case TcpCloseReason::kConnectTimeout: return "connect-timeout";
-    case TcpCloseReason::kRetransmitLimit: return "retransmit-limit";
-    case TcpCloseReason::kAborted: return "aborted";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // TcpConnection
 // ---------------------------------------------------------------------------

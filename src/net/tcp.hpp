@@ -65,8 +65,6 @@ enum class TcpCloseReason {
   kAborted,         // local abort()
 };
 
-std::string to_string(TcpCloseReason r);
-
 struct TcpConfig {
   std::uint32_t mss = 1460;
   std::uint32_t receive_window = 64 * 1024;

@@ -8,7 +8,6 @@ namespace ddoshield::net {
 
 void UdpSocket::send_to(Endpoint dst, std::uint32_t payload_bytes, TrafficOrigin origin,
                         std::string app_data) {
-  if (!open_) throw std::logic_error("UdpSocket::send_to: socket is closed");
   Packet pkt;
   pkt.dst = dst.addr;
   pkt.dst_port = dst.port;
@@ -18,12 +17,6 @@ void UdpSocket::send_to(Endpoint dst, std::uint32_t payload_bytes, TrafficOrigin
   pkt.app_data = std::move(app_data);
   pkt.origin = origin;
   host_->node().send(std::move(pkt));
-}
-
-void UdpSocket::close() {
-  if (!open_) return;
-  open_ = false;
-  host_->release(port_);
 }
 
 std::shared_ptr<UdpSocket> UdpHost::open(std::uint16_t port) {
@@ -46,7 +39,7 @@ void UdpHost::deliver(const Packet& pkt) {
     return;
   }
   auto socket = it->second.lock();
-  if (!socket || !socket->is_open()) {
+  if (!socket) {
     sockets_.erase(it);
     ++dropped_no_socket_;
     return;

@@ -14,14 +14,13 @@ namespace ddoshield::net {
 class Node;
 class UdpHost;
 
-/// A bound UDP endpoint. Obtained from UdpHost::open; closing (or dropping
-/// the last shared_ptr) releases the port.
+/// A bound UDP endpoint. Obtained from UdpHost::open; dropping the last
+/// shared_ptr releases the port.
 class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
  public:
   using ReceiveFn = std::function<void(const Packet&)>;
 
   std::uint16_t port() const { return port_; }
-  bool is_open() const { return open_; }
 
   void set_receive_callback(ReceiveFn fn) { on_receive_ = std::move(fn); }
 
@@ -30,15 +29,12 @@ class UdpSocket : public std::enable_shared_from_this<UdpSocket> {
   void send_to(Endpoint dst, std::uint32_t payload_bytes, TrafficOrigin origin,
                std::string app_data = {});
 
-  void close();
-
  private:
   friend class UdpHost;
   UdpSocket(UdpHost& host, std::uint16_t port) : host_{&host}, port_{port} {}
 
   UdpHost* host_;
   std::uint16_t port_;
-  bool open_ = true;
   ReceiveFn on_receive_;
 };
 
@@ -62,9 +58,6 @@ class UdpHost {
   Node& node() { return node_; }
 
  private:
-  friend class UdpSocket;
-  void release(std::uint16_t port) { sockets_.erase(port); }
-
   Node& node_;
   std::map<std::uint16_t, std::weak_ptr<UdpSocket>> sockets_;
   std::uint64_t delivered_ = 0;

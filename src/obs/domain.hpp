@@ -1,39 +1,36 @@
 // Per-shard observation domain.
 //
 // Every instrumentation site in the testbed resolves its instruments
-// through three thread-current singletons (MetricsRegistry, LatencyTracker,
-// FlightRecorder). A sharded run gives each shard a private instance of all
-// three — installed while the shard's nodes/links are constructed (so the
-// cached instrument pointers resolve into the shard's stores) and again on
-// the shard's event-loop thread (so window-boundary flushes land there too).
-// Hot paths keep their plain unsynchronised increments; nothing is shared
-// across shard threads. After the run the coordinator merges every shard
-// domain into the process-wide stores, so one snapshot covers the whole
-// fleet exactly as a single-domain run would.
+// through two thread-current singletons (MetricsRegistry, FlightRecorder).
+// A sharded run gives each shard a private instance of both — installed
+// while the shard's nodes/links are constructed (so the cached instrument
+// pointers resolve into the shard's stores) and again on the shard's
+// event-loop thread (so window-boundary flushes land there too). Hot paths
+// keep their plain unsynchronised increments; nothing is shared across
+// shard threads. After the run the coordinator merges every shard domain
+// into the process-wide registry, so one snapshot covers the whole fleet
+// exactly as a single-domain run would.
 #pragma once
 
 #include "obs/flight.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 
 namespace ddoshield::obs {
 
-/// One shard's private metrics + latency + flight stores.
+/// One shard's private metrics (latency series included) + flight stores.
 struct ObsDomain {
   ObsDomain() : flight{registry} {}
   ObsDomain(const ObsDomain&) = delete;
   ObsDomain& operator=(const ObsDomain&) = delete;
 
-  /// Folds this domain into the process-wide singletons.
+  /// Folds this domain into the process-wide registry.
   void merge_into_process_globals() {
     // set_current(nullptr) overrides are NOT active here: callers merge
     // from the coordinating thread after every shard thread has joined.
     registry.merge_into(MetricsRegistry::global());
-    latency.merge_into(LatencyTracker::global());
   }
 
   MetricsRegistry registry;
-  LatencyTracker latency;
   FlightRecorder flight;
 };
 
@@ -41,14 +38,12 @@ struct ObsDomain {
 /// target; restores the previous (usually process-wide) domain on exit.
 class ScopedObsDomain {
  public:
-  explicit ScopedObsDomain(ObsDomain* domain)
-      : prev_registry_{MetricsRegistry::set_current(domain ? &domain->registry : nullptr)},
-        prev_latency_{LatencyTracker::set_current(domain ? &domain->latency : nullptr)},
-        prev_flight_{FlightRecorder::set_current(domain ? &domain->flight : nullptr)} {}
+  explicit ScopedObsDomain(ObsDomain& domain)
+      : prev_registry_{MetricsRegistry::set_current(&domain.registry)},
+        prev_flight_{FlightRecorder::set_current(&domain.flight)} {}
 
   ~ScopedObsDomain() {
     FlightRecorder::set_current(prev_flight_);
-    LatencyTracker::set_current(prev_latency_);
     MetricsRegistry::set_current(prev_registry_);
   }
 
@@ -57,7 +52,6 @@ class ScopedObsDomain {
 
  private:
   MetricsRegistry* prev_registry_;
-  LatencyTracker* prev_latency_;
   FlightRecorder* prev_flight_;
 };
 

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <ostream>
 
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -137,12 +136,6 @@ std::size_t FlightRecorder::size() const {
                                   : ring_.size();
 }
 
-void FlightRecorder::clear() {
-  recorded_ = 0;
-  overwritten_ = 0;
-  dumped_ = false;
-}
-
 std::vector<FlightEvent> FlightRecorder::events_in_order() const {
   std::vector<FlightEvent> out;
   const std::size_t n = size();
@@ -181,7 +174,7 @@ void FlightRecorder::write_dump(std::ostream& out, std::string_view reason) cons
         << ", \"arg\": " << e.arg << "}";
   }
   out << "\n  ],\n  \"metrics\": ";
-  write_json_snapshot(MetricsRegistry::global(), out, &LatencyTracker::global());
+  write_json_snapshot(MetricsRegistry::global(), out);
   out << "}\n";
 }
 

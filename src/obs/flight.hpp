@@ -124,7 +124,6 @@ class FlightRecorder {
   std::size_t size() const;                 // events currently in the ring
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t overwritten() const { return overwritten_; }
-  void clear();
 
   /// Copies the ring's events oldest-first (the post-mortem view).
   std::vector<FlightEvent> events_in_order() const;
@@ -143,7 +142,7 @@ class FlightRecorder {
   bool dump_if_armed(std::string_view reason);
 
   /// Serializes the last events + a final ddoshield-metrics-v2 snapshot of
-  /// the global registry and latency tracker.
+  /// the thread's current registry (latency series included).
   void write_dump(std::ostream& out, std::string_view reason) const;
   bool write_dump_file(const std::string& path, std::string_view reason) const;
 

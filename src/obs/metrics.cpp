@@ -1,46 +1,23 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
-
 namespace ddoshield::obs {
 
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  // A single sample IS every quantile. The interpolation below would put
-  // p50/p90 partway through the sample's bucket — for an out-of-range
-  // sample (e.g. 2^63) that's far from the only value ever observed.
-  if (count_ == 1) return static_cast<double>(min());
-  if (q <= 0.0) return static_cast<double>(min());
-  if (q >= 1.0) return static_cast<double>(max_);
-
-  const double target = q * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target) {
-      // Log-interpolate between the bucket's bounds by the fraction of the
-      // bucket's population below the target rank.
-      // Bucket i spans [2^i, 2^(i+1)). Compute the upper edge in floating
-      // point: for i == 63 the integer expression 1ull << 64 would
-      // overflow (and clamping it to 2^63 made hi == lo, degenerating the
-      // interpolation for the top bucket).
-      const double lo = static_cast<double>(i == 0 ? 1 : (1ull << i));
-      const double hi = std::ldexp(1.0, static_cast<int>(i) + 1);
-      const double into = 1.0 - (static_cast<double>(seen) - target) /
-                                    static_cast<double>(buckets_[i]);
-      const double v = lo * std::pow(hi / lo, into);
-      // Clamp to the observed range so tiny histograms stay intuitive.
-      return std::min(std::max(v, static_cast<double>(min())), static_cast<double>(max_));
-    }
-  }
-  return static_cast<double>(max_);
-}
+template class BucketHistogram<Log2Buckets>;
+template class BucketHistogram<LogLinearBuckets>;
 
 namespace {
 // Thread-local override: never set outside sharded runs, so the default
 // path costs one TLS load on the (cold) instrument-resolution calls.
 thread_local MetricsRegistry* t_current_registry = nullptr;
+
+// Instruments never move once created (std::map node stability), so the
+// returned reference stays valid as the registry grows.
+template <typename Map>
+typename Map::mapped_type& find_or_create(Map& instruments, std::string_view name) {
+  auto it = instruments.find(name);
+  if (it == instruments.end()) it = instruments.try_emplace(std::string{name}).first;
+  return it->second;
+}
 }  // namespace
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -59,30 +36,21 @@ void MetricsRegistry::merge_into(MetricsRegistry& dst) const {
   for (const auto& [name, c] : counters_) dst.counter(name).inc(c.value());
   for (const auto& [name, g] : gauges_) dst.gauge(name).merge_from(g);
   for (const auto& [name, h] : histograms_) dst.histogram(name).merge_from(h);
+  for (const auto& [name, h] : latencies_) dst.latency(name).merge_from(h);
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) it = counters_.emplace(std::string{name}, Counter{}).first;
-  return it->second;
+  return find_or_create(counters_, name);
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) it = gauges_.emplace(std::string{name}, Gauge{}).first;
-  return it->second;
-}
+Gauge& MetricsRegistry::gauge(std::string_view name) { return find_or_create(gauges_, name); }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) it = histograms_.emplace(std::string{name}, Histogram{}).first;
-  return it->second;
+  return find_or_create(histograms_, name);
 }
 
-void MetricsRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
+LogLinearHistogram& MetricsRegistry::latency(std::string_view name) {
+  return find_or_create(latencies_, name);
 }
 
 }  // namespace ddoshield::obs

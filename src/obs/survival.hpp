@@ -14,14 +14,14 @@
 // The meter is process-global and off by default: while disabled every
 // hook is a branch and no state changes, so runs that never enable it are
 // byte-identical to builds that predate it. The histogram is meter-owned
-// (not a LatencyTracker series), so enabling it never changes metric
+// (not a registry latency series), so enabling it never changes metric
 // snapshots either.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "obs/latency.hpp"
+#include "obs/metrics.hpp"
 
 namespace ddoshield::obs {
 

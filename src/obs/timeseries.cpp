@@ -2,12 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 
 namespace ddoshield::obs {
@@ -100,76 +99,6 @@ const TimeSeries* TimeSeriesStore::find(std::string_view name) const {
   return it == series_.end() ? nullptr : &it->second;
 }
 
-// --- OpenMetrics -------------------------------------------------------------
-
-namespace {
-
-std::string openmetrics_name(std::string_view raw) {
-  std::string out = "ddoshield_";
-  for (const char c : raw) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9');
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace
-
-void write_openmetrics(const TimeSeriesStore& store, std::ostream& out) {
-  for (const auto& [name, series] : store.all()) {
-    const std::string om = openmetrics_name(name);
-    const bool counter = series.kind() == SeriesKind::kCounter;
-    out << "# TYPE " << om << (counter ? " counter\n" : " gauge\n");
-    out << om << (counter ? "_total " : " ");
-    write_number(out, counter ? series.total() : series.latest());
-    out << "\n";
-  }
-  out << "# EOF\n";
-}
-
-bool read_openmetrics(std::istream& in, std::vector<OpenMetricsSample>& out) {
-  std::map<std::string, std::string> types;
-  bool saw_eof = false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (saw_eof) return false;  // nothing may follow the terminator
-    if (line == "# EOF") {
-      saw_eof = true;
-      continue;
-    }
-    if (line.rfind("# TYPE ", 0) == 0) {
-      const std::string rest = line.substr(7);
-      const std::size_t sp = rest.find(' ');
-      if (sp == std::string::npos) return false;
-      types[rest.substr(0, sp)] = rest.substr(sp + 1);
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos) return false;
-    OpenMetricsSample sample;
-    sample.name = line.substr(0, sp);
-    // Counters sample as "<name>_total"; the TYPE line names the family.
-    std::string family = sample.name;
-    constexpr std::string_view kTotal = "_total";
-    if (family.size() > kTotal.size() &&
-        family.compare(family.size() - kTotal.size(), kTotal.size(), kTotal) == 0) {
-      const std::string stripped = family.substr(0, family.size() - kTotal.size());
-      if (types.count(stripped)) family = stripped;
-    }
-    auto it = types.find(family);
-    if (it == types.end()) return false;  // sample without a TYPE line
-    sample.name = family;
-    sample.type = it->second;
-    char* after = nullptr;
-    sample.value = std::strtod(line.c_str() + sp + 1, &after);
-    if (after == line.c_str() + sp + 1) return false;
-    out.push_back(std::move(sample));
-  }
-  return saw_eof;
-}
-
 // --- TelemetryCollector ------------------------------------------------------
 
 TelemetryCollector::TelemetryCollector(TelemetryConfig config)
@@ -179,7 +108,12 @@ TelemetryCollector::TelemetryCollector(TelemetryConfig config,
                                        MetricsRegistry& probe_registry)
     : config_{config},
       store_{TimeSeriesConfig{config.ring_capacity}},
-      sampler_{probe_registry, SamplerConfig{config.interval, config.until}} {}
+      probe_registry_{probe_registry},
+      m_overruns_{&probe_registry.counter("obs.sampler.tick_overruns")} {
+  if (config_.interval <= util::SimTime{}) {
+    throw std::invalid_argument("TelemetryCollector: interval must be positive");
+  }
+}
 
 TelemetryCollector::~TelemetryCollector() = default;
 
@@ -221,11 +155,8 @@ void TelemetryCollector::add_quantile(std::string metric, double q, SeriesDomain
 void TelemetryCollector::add_probe(std::string series, SeriesDomain domain,
                                    std::function<double()> fn) {
   TimeSeries& s = store_.series(series, SeriesKind::kGauge, domain);
-  sampler_.add_probe(series, std::move(fn));
-  // The sampler registered the gauge in the probe registry; re-resolve the
-  // same node (find-or-create returns the existing instrument).
-  Gauge& g = sampler_.registry().gauge(series);
-  probes_.push_back(ProbeSeries{&g, &s});
+  Gauge& g = probe_registry_.gauge(series);
+  probes_.push_back(Probe{std::move(series), std::move(fn), &g, &s});
 }
 
 void TelemetryCollector::set_watchdog(SloWatchdog* watchdog) { watchdog_ = watchdog; }
@@ -273,12 +204,26 @@ double TelemetryCollector::fold(const Selector& sel) const {
 }
 
 void TelemetryCollector::tick(util::SimTime now) {
-  // Probes first (Sampler semantics: gauges set, trace counters emitted,
-  // overruns counted), then the fold sees their fresh values.
-  sampler_.sample_now(now);
+  // A tick landing more than one interval after its predecessor means a
+  // scheduled tick was skipped or delayed — invisible in the gauges
+  // themselves (they just hold the last write), so it gets its own count.
+  if (!last_tick_at_.is_zero() && now - last_tick_at_ > config_.interval) {
+    ++tick_overruns_;
+    m_overruns_->inc();
+  }
+  last_tick_at_ = now;
+  // Probes first (gauges set, trace counters emitted), then the fold sees
+  // their fresh values.
+  auto& trace = TraceRecorder::global();
+  const bool tracing = trace.enabled();
+  for (const Probe& probe : probes_) {
+    const double v = probe.fn();
+    probe.gauge->set(v);
+    if (tracing) trace.counter(probe.name, now, v);
+  }
   const std::uint64_t tick = ticks_++;
   for (const Selector& sel : selectors_) sel.series->append(tick, fold(sel));
-  for (const ProbeSeries& p : probes_) p.series->append(tick, p.gauge->value());
+  for (const Probe& p : probes_) p.series->append(tick, p.gauge->value());
 
   std::size_t first_new = 0;
   std::size_t new_alerts = 0;

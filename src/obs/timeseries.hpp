@@ -1,28 +1,31 @@
-// Streaming telemetry: bounded in-memory time series + incremental export.
+// Streaming telemetry: bounded in-memory time series + incremental export,
+// and the testbed's one periodic collector.
 //
 // The end-of-run snapshot (snapshot.hpp) answers "how did the run end"; a
 // TimeSeriesStore answers "what happened at t". A TelemetryCollector folds
-// one or more MetricsRegistries (the process globals plus every shard's
+// one or more MetricsRegistries (the process globals or every shard's
 // private domain) on a fixed sim-time cadence into fixed-interval rings:
 // counters are delta-encoded per tick (summed across registries, exactly
 // the shard-merge semantics of MetricsRegistry::merge_into), gauges keep
 // the worst level seen anywhere (merge = max), and histograms contribute
-// one interpolated quantile sample over the bucket-wise sum. Sampler is
-// reused as the probe mechanism: live closures land in named gauges (and
-// Chrome trace counters) first, then the tick folds them like any series.
+// one interpolated quantile sample over the bucket-wise sum. Probes —
+// closures that read a live quantity (event-queue depth, link queue
+// occupancy, active TCP connections, IDS window backlog) — land in named
+// gauges of the probe registry (and Chrome trace counters when tracing is
+// on) first, then the tick records them like any series.
 //
-// Two exports:
-//  * write_openmetrics() — a Prometheus/OpenMetrics text dump of the
-//    latest values (counters as cumulative `_total`s), for scraping or
-//    eyeballing; read_openmetrics() parses it back for round-trip tests.
-//  * ndjson ("ddoshield-timeseries-v1") — one JSON object per line,
-//    written incrementally and flushed every tick so a killed run still
-//    leaves usable data. Each tick emits one "domain":"sim" line (series
-//    that are pure functions of the seed — byte-identical across shard
-//    counts, CI-gated) and one "domain":"wall" line (wall-clock or
-//    shard-layout-dependent series, excluded from the equality contract
-//    by schema). SLO alerts append "t":"alert" lines tagged with the
-//    breached series' domain.
+// Export: ndjson ("ddoshield-timeseries-v1") — one JSON object per line,
+// written incrementally and flushed every tick so a killed run still
+// leaves usable data. Each tick emits one "domain":"sim" line (series that
+// are pure functions of the seed — byte-identical across shard counts,
+// CI-gated) and one "domain":"wall" line (wall-clock or
+// shard-layout-dependent series, excluded from the equality contract by
+// schema). SLO alerts append "t":"alert" lines tagged with the breached
+// series' domain.
+//
+// Clock: start() is duck-typed on the scheduler (anything with now() and
+// schedule(delay, fn), i.e. net::Simulator) so obs stays a leaf library
+// under util and net can itself link against obs for instrumentation.
 //
 // Thread rules: the collector is driven from exactly one thread at a time
 // — the flat simulator's event loop (via start()) or shard 0's thread
@@ -40,7 +43,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "util/sim_time.hpp"
 
 namespace ddoshield::obs {
@@ -132,31 +134,12 @@ class TimeSeriesStore {
   std::map<std::string, TimeSeries, std::less<>> series_;
 };
 
-// --- OpenMetrics text export -------------------------------------------------
-
-/// Latest values in OpenMetrics text format: counters as cumulative
-/// `<name>_total` with `# TYPE ... counter`, gauges and quantile series as
-/// gauges, names sanitised to [a-zA-Z0-9_] with a "ddoshield_" prefix,
-/// terminated by "# EOF".
-void write_openmetrics(const TimeSeriesStore& store, std::ostream& out);
-
-struct OpenMetricsSample {
-  std::string name;
-  std::string type;  // "counter" or "gauge" (from the preceding # TYPE)
-  double value = 0.0;
-};
-
-/// Parses what write_openmetrics() produces (a closed format, not a
-/// general OpenMetrics parser). Returns false on malformed input or a
-/// missing "# EOF" terminator.
-bool read_openmetrics(std::istream& in, std::vector<OpenMetricsSample>& out);
-
 // --- streaming collector -----------------------------------------------------
 
 struct TelemetryConfig {
-  /// Sim-time fold cadence. In sharded runs the collector ticks from a
-  /// ShardedSim sync hook with this period; in flat runs start() arms a
-  /// Sampler-style self-rescheduling tick.
+  /// Sim-time fold cadence; must be positive. In sharded runs the
+  /// collector ticks from a ShardedSim sync hook with this period; in flat
+  /// runs start() arms a self-rescheduling tick.
   util::SimTime interval = util::SimTime::millis(100);
   /// Last self-scheduled tick at or before this time (flat runs only);
   /// zero = unbounded, caller must drive the sim with run_until.
@@ -169,8 +152,9 @@ struct TelemetryConfig {
 /// clock/thread discipline.
 class TelemetryCollector {
  public:
-  /// `probe_registry` is where probe gauges live (Sampler semantics);
-  /// defaults to the thread's current registry at construction time.
+  /// `probe_registry` is where probe gauges and the tick-overrun counter
+  /// live; defaults to the thread's current registry at construction
+  /// time. Throws std::invalid_argument for a non-positive interval.
   explicit TelemetryCollector(TelemetryConfig config = {});
   TelemetryCollector(TelemetryConfig config, MetricsRegistry& probe_registry);
   ~TelemetryCollector();
@@ -178,8 +162,8 @@ class TelemetryCollector {
   TelemetryCollector(const TelemetryCollector&) = delete;
   TelemetryCollector& operator=(const TelemetryCollector&) = delete;
 
-  /// Registers a registry to fold each tick. Call once per shard domain
-  /// (plus the process globals); registries must outlive the collector.
+  /// Registers a registry to fold each tick: once per shard domain, or the
+  /// process globals in a flat run. Registries must outlive the collector.
   void add_source(const MetricsRegistry* registry);
 
   /// Counter series: per-tick delta of the metric summed across sources.
@@ -191,7 +175,7 @@ class TelemetryCollector {
   /// quantile of the histogram's bucket-wise sum across sources.
   void add_quantile(std::string metric, double q, SeriesDomain domain);
   /// Probe series: `fn` runs each tick, lands in gauge `series` of the
-  /// probe registry (Sampler mechanism: trace counters included), and is
+  /// probe registry (and a trace counter when tracing is on), and is
   /// recorded under the same name.
   void add_probe(std::string series, SeriesDomain domain, std::function<double()> fn);
 
@@ -211,8 +195,9 @@ class TelemetryCollector {
   /// self-scheduled tick (flat); tests call it directly.
   void tick(util::SimTime now);
 
-  /// Flat-run arming, Sampler-style: first tick at now() + interval, then
-  /// every interval until stop() or config.until.
+  /// Flat-run arming: first tick at now() + interval, then every interval
+  /// until stop() or config.until. The scheduler must outlive the
+  /// collector.
   template <typename Sim>
   void start(Sim& sim) {
     running_ = true;
@@ -223,10 +208,11 @@ class TelemetryCollector {
   const TimeSeriesStore& store() const { return store_; }
   const TelemetryConfig& config() const { return config_; }
   std::uint64_t ticks() const { return ticks_; }
-  /// Sampler-visible surface (probe count, overruns) for tests.
-  const Sampler& sampler() const { return sampler_; }
-
-  void write_openmetrics(std::ostream& out) const { obs::write_openmetrics(store_, out); }
+  util::SimTime last_tick_at() const { return last_tick_at_; }
+  /// Ticks that landed more than one interval after the previous one — a
+  /// tick was skipped or delayed (also counted in the probe registry's
+  /// "obs.sampler.tick_overruns").
+  std::uint64_t tick_overruns() const { return tick_overruns_; }
 
   /// Compact end-of-run summary: tick count, per-series last/peak, alert
   /// totals — the quickstart's `--timeseries` health report.
@@ -239,7 +225,9 @@ class TelemetryCollector {
     double q = 0.0;       // kQuantile only
     TimeSeries* series;   // resolved at registration
   };
-  struct ProbeSeries {
+  struct Probe {
+    std::string name;
+    std::function<double()> fn;
     Gauge* gauge;         // probe's gauge in the probe registry
     TimeSeries* series;
   };
@@ -261,13 +249,16 @@ class TelemetryCollector {
 
   TelemetryConfig config_;
   TimeSeriesStore store_;
-  Sampler sampler_;  // probe mechanism (gauges + trace counters + overruns)
+  MetricsRegistry& probe_registry_;
+  Counter* m_overruns_;  // "obs.sampler.tick_overruns", resolved eagerly
   std::vector<const MetricsRegistry*> sources_;
   std::vector<Selector> selectors_;
-  std::vector<ProbeSeries> probes_;
+  std::vector<Probe> probes_;
   std::map<std::string, std::uint64_t, std::less<>> counter_last_;  // delta state
   SloWatchdog* watchdog_ = nullptr;
   std::uint64_t ticks_ = 0;
+  std::uint64_t tick_overruns_ = 0;
+  util::SimTime last_tick_at_;
   bool running_ = false;
 
   std::string ndjson_path_;

@@ -144,20 +144,4 @@ std::uint32_t Rng::poisson(double mean) {
   return x <= 0.0 ? 0u : static_cast<std::uint32_t>(std::llround(x));
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  if (weights.empty()) throw std::invalid_argument("weighted_index: empty weights");
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) throw std::invalid_argument("weighted_index: negative weight");
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument("weighted_index: zero total weight");
-  double x = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 }  // namespace ddoshield::util

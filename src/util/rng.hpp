@@ -61,9 +61,6 @@ class Rng {
   /// Poisson-distributed count with the given mean (Knuth / normal approx).
   std::uint32_t poisson(double mean);
 
-  /// Selects an index in [0, weights.size()) proportionally to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle of an index range stored by the caller.
   template <typename T>
   void shuffle(std::vector<T>& v) {

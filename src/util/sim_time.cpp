@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 namespace ddoshield::util {
 
@@ -23,13 +22,6 @@ std::string SimTime::to_string() const {
     os << ns_ << "ns";
   }
   return os.str();
-}
-
-SimTime inter_arrival(double events_per_second) {
-  if (events_per_second <= 0.0) {
-    throw std::invalid_argument("inter_arrival: rate must be positive");
-  }
-  return SimTime::from_seconds(1.0 / events_per_second);
 }
 
 }  // namespace ddoshield::util

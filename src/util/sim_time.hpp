@@ -53,8 +53,4 @@ class SimTime {
   std::int64_t ns_ = 0;
 };
 
-/// Scales a per-second rate into the SimTime gap between consecutive events.
-/// E.g. inter_arrival(200.0) == 5ms.
-SimTime inter_arrival(double events_per_second);
-
 }  // namespace ddoshield::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace ddoshield::util {
 
@@ -18,8 +17,6 @@ void OnlineStats::add(double x) {
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
 }
-
-void OnlineStats::reset() { *this = OnlineStats{}; }
 
 void OnlineStats::merge_from(const OnlineStats& other) {
   if (other.count_ == 0) return;
@@ -44,76 +41,5 @@ double OnlineStats::variance() const {
 }
 
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void FrequencyCounter::add(std::uint64_t key, std::uint64_t weight) {
-  counts_[key] += weight;
-  total_ += weight;
-}
-
-void FrequencyCounter::reset() {
-  counts_.clear();
-  total_ = 0;
-}
-
-std::uint64_t FrequencyCounter::count_of(std::uint64_t key) const {
-  const auto it = counts_.find(key);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-double FrequencyCounter::entropy() const {
-  if (total_ == 0 || counts_.size() <= 1) return 0.0;
-  double h = 0.0;
-  const double n = static_cast<double>(total_);
-  for (const auto& [key, c] : counts_) {
-    if (c == 0) continue;
-    const double p = static_cast<double>(c) / n;
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-double FrequencyCounter::max_share() const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t best = 0;
-  for (const auto& [key, c] : counts_) best = std::max(best, c);
-  return static_cast<double>(best) / static_cast<double>(total_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, bins_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: need lo < hi and bins > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::int64_t>(t * static_cast<double>(bins_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(bins_.size()) - 1);
-  ++bins_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(bins_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const double next = cum + static_cast<double>(bins_[i]);
-    if (next >= target) {
-      const double frac = bins_[i] == 0 ? 0.0 : (target - cum) / static_cast<double>(bins_[i]);
-      return bin_lo(i) + frac * (bin_hi(i) - bin_lo(i));
-    }
-    cum = next;
-  }
-  return hi_;
-}
 
 }  // namespace ddoshield::util

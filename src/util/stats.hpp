@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
 namespace ddoshield::util {
 
@@ -13,7 +11,6 @@ namespace ddoshield::util {
 class OnlineStats {
  public:
   void add(double x);
-  void reset();
 
   /// Folds another accumulator in (Chan's parallel Welford combination).
   /// NOT order-free in floating point: merging partials A then B differs
@@ -36,52 +33,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Counts discrete keys and exposes Shannon entropy over the empirical
-/// distribution — the paper's destination-port entropy feature.
-class FrequencyCounter {
- public:
-  void add(std::uint64_t key, std::uint64_t weight = 1);
-  void reset();
-
-  std::uint64_t total() const { return total_; }
-  std::size_t distinct() const { return counts_.size(); }
-  std::uint64_t count_of(std::uint64_t key) const;
-
-  /// Shannon entropy in bits of the key distribution; 0 for <=1 distinct key.
-  double entropy() const;
-
-  /// Largest single-key share of the total, in [0,1]; 0 when empty.
-  double max_share() const;
-
-  const std::map<std::uint64_t, std::uint64_t>& counts() const { return counts_; }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Fixed-bin histogram for experiment reporting (latency, goodput, ...).
-class Histogram {
- public:
-  /// Bins span [lo, hi) uniformly; samples outside clamp to the edge bins.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t total() const { return total_; }
-  const std::vector<std::uint64_t>& bins() const { return bins_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Linear-interpolated quantile estimate, q in [0,1].
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> bins_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace ddoshield::util

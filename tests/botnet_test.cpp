@@ -25,15 +25,14 @@ using util::SimTime;
 TEST(CredentialsTest, DictionaryIsNonTrivialAndStable) {
   EXPECT_GE(credential_dictionary_size(), 32u);
   EXPECT_EQ(credential_at(0), (Credential{"root", "xc3511"}));  // Mirai's #1
-  EXPECT_EQ(default_credential_dictionary().size(), credential_dictionary_size());
   EXPECT_THROW(credential_at(credential_dictionary_size()), std::out_of_range);
 }
 
 TEST(CredentialsTest, EntriesAreUnique) {
-  const auto dict = default_credential_dictionary();
-  for (std::size_t i = 0; i < dict.size(); ++i) {
-    for (std::size_t j = i + 1; j < dict.size(); ++j) {
-      EXPECT_FALSE(dict[i] == dict[j]) << "duplicate at " << i << "," << j;
+  const std::size_t n = credential_dictionary_size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      EXPECT_FALSE(credential_at(i) == credential_at(j)) << "duplicate at " << i << "," << j;
     }
   }
 }
@@ -305,8 +304,6 @@ TEST_F(BotArmyFixture, BotsRegisterWithC2) {
   EXPECT_EQ(c2->connected_bots(), 3u);
   EXPECT_EQ(c2->total_registrations(), 3u);
   for (const auto& bot : bots) EXPECT_TRUE(bot->connected());
-  const auto names = c2->bot_names();
-  EXPECT_EQ(names.size(), 3u);
 }
 
 TEST_F(BotArmyFixture, AttackCommandReachesAllBots) {

@@ -80,16 +80,6 @@ TEST_F(RuntimeFixture, UnknownImageRejected) {
   EXPECT_THROW(runtime.create("x", "missing:0"), std::invalid_argument);
 }
 
-TEST_F(RuntimeFixture, RemoveStopsAndErases) {
-  Container& c = runtime.create("c6", "test/image:1.0");
-  c.attach_node(*node);
-  c.start();
-  runtime.remove("c6");
-  EXPECT_FALSE(runtime.exists("c6"));
-  EXPECT_THROW(runtime.get("c6"), std::invalid_argument);
-  EXPECT_THROW(runtime.remove("c6"), std::invalid_argument);
-}
-
 TEST_F(RuntimeFixture, StopHooksRunOnceInOrder) {
   Container& c = runtime.create("c7", "test/image:1.0");
   c.attach_node(*node);
@@ -114,96 +104,11 @@ TEST_F(RuntimeFixture, StopAllStopsEverything) {
   EXPECT_EQ(runtime.list().size(), 3u);
 }
 
-TEST_F(RuntimeFixture, EnvVariables) {
-  Container& c = runtime.create("env", "test/image:1.0");
-  c.set_env("C2_ADDR", "10.0.0.2");
-  EXPECT_EQ(c.env("C2_ADDR"), "10.0.0.2");
-  EXPECT_EQ(c.env("MISSING", "fallback"), "fallback");
-  EXPECT_EQ(c.env("MISSING"), "");
-}
-
 TEST_F(RuntimeFixture, NodeAccessWithoutAttachThrows) {
   Container& c = runtime.create("n", "test/image:1.0");
   EXPECT_THROW(c.node(), std::logic_error);
   c.attach_node(*node);
   EXPECT_EQ(&c.node(), node);
-}
-
-// --------------------------------------------------------------------------
-// ResourceAccount
-// --------------------------------------------------------------------------
-
-TEST(ResourceAccountTest, CpuCounters) {
-  ResourceAccount acc;
-  acc.charge_cpu_ops(100);
-  acc.charge_cpu_ops(50);
-  acc.charge_cpu_time_ns(1000);
-  EXPECT_EQ(acc.cpu_ops(), 150u);
-  EXPECT_EQ(acc.cpu_time_ns(), 1000u);
-}
-
-TEST(ResourceAccountTest, HeapTracksPeak) {
-  ResourceAccount acc;
-  acc.alloc(1000);
-  acc.alloc(500);
-  EXPECT_EQ(acc.heap_bytes(), 1500u);
-  acc.free(1200);
-  EXPECT_EQ(acc.heap_bytes(), 300u);
-  EXPECT_EQ(acc.peak_heap_bytes(), 1500u);
-}
-
-TEST(ResourceAccountTest, OverFreeThrows) {
-  ResourceAccount acc;
-  acc.alloc(10);
-  EXPECT_THROW(acc.free(11), std::logic_error);
-}
-
-TEST(ResourceAccountTest, ResetClearsEverything) {
-  ResourceAccount acc;
-  acc.alloc(10);
-  acc.charge_cpu_ops(5);
-  acc.reset();
-  EXPECT_EQ(acc.heap_bytes(), 0u);
-  EXPECT_EQ(acc.peak_heap_bytes(), 0u);
-  EXPECT_EQ(acc.cpu_ops(), 0u);
-}
-
-TEST(ResourceAccountTest, SummaryMentionsFields) {
-  ResourceAccount acc;
-  acc.alloc(2048);
-  const std::string s = acc.summary();
-  EXPECT_NE(s.find("heap_kb=2"), std::string::npos);
-}
-
-TEST(ScopedAllocationTest, RaiiChargesAndReleases) {
-  ResourceAccount acc;
-  {
-    ScopedAllocation a{acc, 4096};
-    EXPECT_EQ(acc.heap_bytes(), 4096u);
-  }
-  EXPECT_EQ(acc.heap_bytes(), 0u);
-  EXPECT_EQ(acc.peak_heap_bytes(), 4096u);
-}
-
-TEST(ScopedAllocationTest, MoveTransfersOwnership) {
-  ResourceAccount acc;
-  ScopedAllocation a{acc, 100};
-  ScopedAllocation b{std::move(a)};
-  EXPECT_EQ(acc.heap_bytes(), 100u);
-  ScopedAllocation c;
-  c = std::move(b);
-  EXPECT_EQ(acc.heap_bytes(), 100u);
-}
-
-TEST(ScopedAllocationTest, ResizeAdjustsCharge) {
-  ResourceAccount acc;
-  ScopedAllocation a{acc, 100};
-  a.resize(250);
-  EXPECT_EQ(acc.heap_bytes(), 250u);
-  a.resize(50);
-  EXPECT_EQ(acc.heap_bytes(), 50u);
-  ScopedAllocation empty;
-  EXPECT_THROW(empty.resize(10), std::logic_error);
 }
 
 }  // namespace

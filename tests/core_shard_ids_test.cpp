@@ -34,15 +34,16 @@ ShardSimConfig shard_cfg(std::size_t shards) {
 
 TEST(SyncHookTest, RejectsNonPositivePeriod) {
   ShardedSim sim{shard_cfg(1)};
-  EXPECT_THROW(sim.set_sync_hook(SimTime{}, [](SimTime) {}), std::invalid_argument);
-  EXPECT_NO_THROW(sim.set_sync_hook(SimTime{}, nullptr));  // clearing is fine
+  EXPECT_THROW(sim.add_sync_hook(SimTime{}, [](SimTime) {}), std::invalid_argument);
+  EXPECT_THROW(sim.add_sync_hook(SimTime::millis(-10), [](SimTime) {}), std::invalid_argument);
+  EXPECT_EQ(sim.sync_hook_count(), 0u);
 }
 
 TEST(SyncHookTest, SingleShardFiresAtEveryMultiple) {
   ShardedSim sim{shard_cfg(1)};
   sim.add_node(0, "a", Ipv4Address{10, 0, 0, 1});
   std::vector<std::int64_t> fired;
-  sim.set_sync_hook(SimTime::millis(10),
+  sim.add_sync_hook(SimTime::millis(10),
                     [&fired](SimTime t) { fired.push_back(t.ns()); });
   sim.run_until(SimTime::millis(35));
   const std::vector<std::int64_t> expect{SimTime::millis(10).ns(),
@@ -59,7 +60,7 @@ TEST(SyncHookTest, AlignedEndFiresExactlyOnce) {
   ShardedSim sim{shard_cfg(1)};
   sim.add_node(0, "a", Ipv4Address{10, 0, 0, 1});
   int fired = 0;
-  sim.set_sync_hook(SimTime::millis(10), [&fired](SimTime) { ++fired; });
+  sim.add_sync_hook(SimTime::millis(10), [&fired](SimTime) { ++fired; });
   sim.run_until(SimTime::millis(10));
   EXPECT_EQ(fired, 1);
   sim.run_until(SimTime::millis(20));
@@ -72,7 +73,7 @@ TEST(SyncHookTest, BoundaryEventsExecuteBeforeTheHook) {
   std::vector<std::string> trace;
   sim.simulator(0).post_at(SimTime::millis(10),
                            [&trace] { trace.push_back("event@10ms"); });
-  sim.set_sync_hook(SimTime::millis(10), [&trace](SimTime t) {
+  sim.add_sync_hook(SimTime::millis(10), [&trace](SimTime t) {
     trace.push_back("hook@" + std::to_string(t.ns() / 1000000) + "ms");
   });
   sim.run_until(SimTime::millis(15));
@@ -91,7 +92,7 @@ TEST(SyncHookTest, MultiShardFiresOnceAtEveryMultipleWithFleetParked) {
   sim.connect(a, c, LinkConfig{.delay = SimTime::millis(3)});
   std::vector<std::int64_t> fired;
   std::vector<std::int64_t> clocks_at_hook;
-  sim.set_sync_hook(SimTime::millis(10), [&](SimTime t) {
+  sim.add_sync_hook(SimTime::millis(10), [&](SimTime t) {
     fired.push_back(t.ns());
     // Every shard is parked at exactly the boundary.
     for (std::size_t s = 0; s < 3; ++s)
@@ -111,7 +112,7 @@ TEST(SyncHookTest, HookExceptionSurfacesFromRunUntil) {
   auto& a = sim.add_node(0, "a", Ipv4Address{10, 0, 0, 1});
   auto& b = sim.add_node(1, "b", Ipv4Address{10, 0, 0, 2});
   sim.connect(a, b, LinkConfig{.delay = SimTime::millis(5)});
-  sim.set_sync_hook(SimTime::millis(10), [](SimTime) {
+  sim.add_sync_hook(SimTime::millis(10), [](SimTime) {
     throw std::runtime_error("hook boom");
   });
   EXPECT_THROW(sim.run_until(SimTime::millis(30)), std::runtime_error);
@@ -164,24 +165,6 @@ TEST(SyncHookTest, SharedBoundaryRunsHooksInRegistrationOrder) {
   sim.run_until(SimTime::millis(20));
   const std::vector<std::string> expect{"first@10", "first@20", "second@20"};
   EXPECT_EQ(trace, expect);
-}
-
-TEST(SyncHookTest, SetSyncHookReplacesAllRegisteredHooks) {
-  // set_sync_hook keeps its historical replace-everything semantics so
-  // legacy callers get exactly one hook no matter what was there before.
-  ShardedSim sim{shard_cfg(1)};
-  sim.add_node(0, "a", Ipv4Address{10, 0, 0, 1});
-  int stale = 0;
-  int live = 0;
-  sim.add_sync_hook(SimTime::millis(5), [&stale](SimTime) { ++stale; });
-  sim.add_sync_hook(SimTime::millis(7), [&stale](SimTime) { ++stale; });
-  sim.set_sync_hook(SimTime::millis(10), [&live](SimTime) { ++live; });
-  EXPECT_EQ(sim.sync_hook_count(), 1u);
-  sim.run_until(SimTime::millis(30));
-  EXPECT_EQ(stale, 0);
-  EXPECT_EQ(live, 3);
-  sim.set_sync_hook(SimTime{}, nullptr);
-  EXPECT_EQ(sim.sync_hook_count(), 0u);
 }
 
 TEST(SyncHookTest, MultiShardTwoHooksStayOnTheAbsoluteGrid) {

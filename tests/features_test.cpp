@@ -10,6 +10,7 @@
 #include "features/extractor.hpp"
 #include "features/schema.hpp"
 #include "features/window_stats.hpp"
+#include "frequency_counter.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -64,7 +65,6 @@ TEST(SchemaTest, NamesAlignWithConstants) {
   EXPECT_EQ(feature_name(kPayloadBytes), "payload_bytes");
   EXPECT_EQ(feature_name(kWinPacketCount), "win_packet_count");
   EXPECT_EQ(feature_name(kWinUdpFraction), "win_udp_fraction");
-  EXPECT_EQ(feature_names().size(), kFeatureCount);
   EXPECT_THROW(feature_name(kFeatureCount), std::out_of_range);
 }
 
@@ -179,6 +179,51 @@ TEST(WindowStatsTest, ShortLivedFlowsCountsSmallFlows) {
   EXPECT_DOUBLE_EQ(stats.short_lived_flows, 3.0);
 }
 
+// --------------------------------------------------------------------------
+// FrequencyCounter (the oracle behind the reference window statistics)
+// --------------------------------------------------------------------------
+
+TEST(FrequencyCounterTest, EntropyUniformIsLogN) {
+  test_oracle::FrequencyCounter fc;
+  for (std::uint64_t k = 0; k < 8; ++k) fc.add(k, 10);
+  EXPECT_NEAR(fc.entropy(), 3.0, 1e-12);  // log2(8)
+}
+
+TEST(FrequencyCounterTest, EntropySingleKeyIsZero) {
+  test_oracle::FrequencyCounter fc;
+  fc.add(80, 1000);
+  EXPECT_EQ(fc.entropy(), 0.0);
+  EXPECT_EQ(fc.max_share(), 1.0);
+}
+
+TEST(FrequencyCounterTest, EmptyEntropyZero) {
+  test_oracle::FrequencyCounter fc;
+  EXPECT_EQ(fc.entropy(), 0.0);
+  EXPECT_EQ(fc.max_share(), 0.0);
+  EXPECT_EQ(fc.distinct(), 0u);
+}
+
+TEST(FrequencyCounterTest, SkewReducesEntropy) {
+  test_oracle::FrequencyCounter uniform, skewed;
+  for (std::uint64_t k = 0; k < 4; ++k) uniform.add(k, 25);
+  skewed.add(0, 97);
+  for (std::uint64_t k = 1; k < 4; ++k) skewed.add(k, 1);
+  EXPECT_GT(uniform.entropy(), skewed.entropy());
+  EXPECT_GT(skewed.max_share(), 0.9);
+}
+
+TEST(FrequencyCounterTest, CountsAndReset) {
+  test_oracle::FrequencyCounter fc;
+  fc.add(53);
+  fc.add(53);
+  fc.add(80);
+  EXPECT_EQ(fc.count_of(53), 2u);
+  EXPECT_EQ(fc.count_of(99), 0u);
+  EXPECT_EQ(fc.total(), 3u);
+  fc.reset();
+  EXPECT_EQ(fc.total(), 0u);
+}
+
 // The original tree-map window statistics: the reference the production
 // fold (open-addressing FlatTables, key-sorted entropy sums) must match bit
 // for bit.
@@ -187,8 +232,8 @@ WindowStats compute_with_maps(std::span<const PacketRecord> packets, SimTime win
            std::uint32_t>
       flow_packets;
   std::map<std::tuple<std::uint32_t, std::uint16_t>, std::uint32_t> syn_per_src_dport;
-  util::FrequencyCounter dst_ports;
-  util::FrequencyCounter src_addrs;
+  test_oracle::FrequencyCounter dst_ports;
+  test_oracle::FrequencyCounter src_addrs;
   util::OnlineStats seq_stats;
   util::OnlineStats payload_stats;
   std::uint64_t total_bytes = 0;

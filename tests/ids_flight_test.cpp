@@ -1,5 +1,5 @@
 // IDS latency attribution: on a seeded run the flight recorder's window
-// stages and the LatencyTracker's batch series must reconcile with the
+// stages and the registry's latency series must reconcile with the
 // IDS's own window reports — one close/submit/complete/verdict per window —
 // and the per-packet detect-lag series must cover every tapped packet.
 // Also the ResourceMeter's RSS probe and CPU formula.
@@ -13,7 +13,6 @@
 #include "ids/resource_meter.hpp"
 #include "net/network.hpp"
 #include "obs/flight.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
 
 namespace ddoshield::ids {
@@ -85,10 +84,10 @@ struct World {
 struct SeriesBaselines {
   std::uint64_t batch, benign, attack;
   static SeriesBaselines capture() {
-    auto& lat = obs::LatencyTracker::global();
-    return SeriesBaselines{lat.series("flight.ids.infer_batch_ns").count(),
-                           lat.series("flight.port.detect_lag_ns.benign").count(),
-                           lat.series("flight.port.detect_lag_ns.attack").count()};
+    auto& lat = obs::MetricsRegistry::global();
+    return SeriesBaselines{lat.latency("flight.ids.infer_batch_ns").count(),
+                           lat.latency("flight.port.detect_lag_ns.benign").count(),
+                           lat.latency("flight.port.detect_lag_ns.attack").count()};
   }
 };
 
@@ -141,15 +140,15 @@ TEST(IdsFlightTest, InlineAttributionReconcilesWithReports) {
   EXPECT_EQ(count_stage(events, obs::FlightStage::kCaptureTap), total_packets);
 
   // One batch-time observation per scored window.
-  auto& lat = obs::LatencyTracker::global();
-  EXPECT_EQ(lat.series("flight.ids.infer_batch_ns").count() - before.batch, reports.size());
+  auto& lat = obs::MetricsRegistry::global();
+  EXPECT_EQ(lat.latency("flight.ids.infer_batch_ns").count() - before.batch, reports.size());
 
   // Per-packet end-to-end detect lag: every tapped packet lands in exactly
   // one traffic-class series.
   const std::uint64_t benign =
-      lat.series("flight.port.detect_lag_ns.benign").count() - before.benign;
+      lat.latency("flight.port.detect_lag_ns.benign").count() - before.benign;
   const std::uint64_t attack =
-      lat.series("flight.port.detect_lag_ns.attack").count() - before.attack;
+      lat.latency("flight.port.detect_lag_ns.attack").count() - before.attack;
   EXPECT_EQ(benign + attack, total_packets);
   EXPECT_GT(attack, 0u);
   EXPECT_GT(benign, 0u);

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "core/pipeline.hpp"
+#include "csv_reader.hpp"
 #include "ml/feature_selection.hpp"
 #include "ml/isolation_forest.hpp"
 #include "ml/model_store.hpp"
@@ -82,7 +83,7 @@ TEST(DatasetRoundTripTest, RetrainingFromCsvIsIdentical) {
   auto& p = SharedPipeline::instance();
   const testkit::ScopedTempFile tmp{"ddoshield_integration_roundtrip", ".csv"};
   p.generation.dataset.save_csv(tmp.path());
-  const capture::Dataset loaded = capture::Dataset::load_csv(tmp.path());
+  const capture::Dataset loaded = test_oracle::load_csv(tmp.path());
   ASSERT_EQ(loaded.size(), p.generation.dataset.size());
 
   const features::FeatureMatrix fm2 = features::extract_features(loaded);

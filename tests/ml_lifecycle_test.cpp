@@ -17,7 +17,6 @@
 #include "ml/model_store.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/svm.hpp"
-#include "testkit/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace ddoshield::ml::lifecycle {
@@ -578,89 +577,6 @@ TEST(LifecycleManagerTest, SwapSequenceIsDeterministic) {
 TEST(LifecycleManagerTest, RejectsUntrainedModel) {
   RandomForest untrained;
   EXPECT_THROW((LifecycleManager{untrained, 4, fast_lifecycle()}), std::logic_error);
-}
-
-// --------------------------------------------------------------------------
-// Versioned model store
-// --------------------------------------------------------------------------
-
-TEST(VersionedModelStoreTest, RoundTripsVersionAndModel) {
-  DesignMatrix x{4};
-  std::vector<int> y;
-  Rng rng{71};
-  make_blobs(300, 4, 3.0, rng, x, y);
-  RandomForest rf{RandomForestConfig{.n_estimators = 5, .max_samples_per_tree = 100}};
-  rf.fit(x, y);
-
-  const auto bytes = serialize_versioned_model(rf, 7);
-  VersionedModel loaded = deserialize_versioned_model(bytes);
-  EXPECT_EQ(loaded.version, 7u);
-  ASSERT_NE(loaded.model, nullptr);
-  EXPECT_EQ(loaded.model->name(), "rf");
-  EXPECT_EQ(serialize_model(*loaded.model), serialize_model(rf));
-}
-
-TEST(VersionedModelStoreTest, LoadSwapSnapshotReloadEquality) {
-  // The lifecycle persistence loop: load a versioned model, hot-swap to a
-  // retrained successor, snapshot it versioned, reload — the reloaded
-  // (version, model) must equal what was swapped in, byte for byte.
-  DesignMatrix x{4};
-  std::vector<int> y;
-  Rng rng{72};
-  make_blobs(400, 4, 3.0, rng, x, y);
-  RandomForest base{RandomForestConfig{.n_estimators = 5, .max_samples_per_tree = 100}};
-  base.fit(x, y);
-
-  testkit::ScopedTempFile v1_file{"lifecycle_model_v1", ".ddsv"};
-  save_versioned_model_file(base, 1, v1_file.path());
-  VersionedModel v1 = load_versioned_model_file(v1_file.path());
-  ASSERT_EQ(v1.version, 1u);
-
-  LifecycleConfig cfg = fast_lifecycle();
-  LifecycleManager mgr{*v1.model, 4, cfg};
-  Rng feed{73};
-  std::vector<int> labels(64, 1);
-  std::shared_ptr<const Classifier> swapped;
-  for (std::uint64_t w = 0; w < 20 && !swapped; ++w) {
-    swapped = mgr.maybe_swap(w);
-    if (!swapped) mgr.observe_window(w, window_at(64, 4, 0.0, feed), labels);
-  }
-  ASSERT_NE(swapped, nullptr);
-  ASSERT_EQ(mgr.version(), 2u);
-
-  testkit::ScopedTempFile v2_file{"lifecycle_model_v2", ".ddsv"};
-  save_versioned_model_file(mgr.current_model(), mgr.version(), v2_file.path());
-  VersionedModel reloaded = load_versioned_model_file(v2_file.path());
-  EXPECT_EQ(reloaded.version, 2u);
-  EXPECT_EQ(serialize_model(*reloaded.model), serialize_model(mgr.current_model()));
-
-  // And the reloaded model scores identically to the served one.
-  ml::Verdicts served, from_disk;
-  mgr.current_model().score_batch(x, served);
-  reloaded.model->score_batch(x, from_disk);
-  EXPECT_EQ(served, from_disk);
-}
-
-TEST(VersionedModelStoreTest, RejectsForeignBytes) {
-  DesignMatrix x{3};
-  std::vector<int> y;
-  Rng rng{74};
-  make_blobs(100, 3, 3.0, rng, x, y);
-  RandomForest rf{RandomForestConfig{.n_estimators = 3, .max_samples_per_tree = 50}};
-  rf.fit(x, y);
-
-  // A plain "DDSM" model file is not a versioned file, and vice versa.
-  const auto plain = serialize_model(rf);
-  EXPECT_THROW(deserialize_versioned_model(plain), std::invalid_argument);
-  const auto versioned = serialize_versioned_model(rf, 3);
-  EXPECT_THROW(deserialize_model(versioned), std::invalid_argument);
-
-  // Truncated mid-stream: the exact exception depends on where the reader
-  // runs dry (bad magic vs. truncated input), but it must throw.
-  std::vector<std::uint8_t> truncated{versioned.begin(), versioned.begin() + 8};
-  EXPECT_ANY_THROW(deserialize_versioned_model(truncated));
-
-  EXPECT_THROW(load_versioned_model_file("/nonexistent/path.ddsv"), std::runtime_error);
 }
 
 }  // namespace

@@ -145,7 +145,6 @@ class ReferenceQueue {
   void post(SimTime delay, std::function<void()> fn) { push(now_ + delay, std::move(fn)); }
   void post_at(SimTime when, std::function<void()> fn) { push(when, std::move(fn)); }
   void cancel(std::size_t token) { cancelled_.insert(token); }
-  void clear() { queue_ = {}; }
   void run_until(SimTime until) {
     while (!queue_.empty() && queue_.top().when <= until) {
       const Entry e = queue_.top();
@@ -189,10 +188,11 @@ struct QueueUnderTest {
     handles.push_back(sim.schedule(delay, std::move(fn)));
     return handles.size() - 1;
   }
-  void post(SimTime delay, std::function<void()> fn) { sim.post(delay, std::move(fn)); }
+  void post(SimTime delay, std::function<void()> fn) {
+    sim.post_at(sim.now() + delay, std::move(fn));
+  }
   void post_at(SimTime when, std::function<void()> fn) { sim.post_at(when, std::move(fn)); }
   void cancel(std::size_t token) { handles[token].cancel(); }
-  void clear() { sim.clear(); }
   void run_until(SimTime until) { sim.run_until(until); }
 };
 
@@ -228,7 +228,7 @@ TEST(CalendarQueueTest, OrderMatchesBinaryHeapAcrossHorizons) {
 
 // Seeded random mix of schedule/post/post_at, cancellations, equal-time
 // ties, callbacks that schedule further events, horizons past the ~4.1 s
-// wheel, and clear(). Callbacks draw from the RNG too, so the two queues
+// wheel. Callbacks draw from the RNG too, so the two queues
 // see the same operations exactly as long as they run the same events in
 // the same order.
 template <typename Queue>
@@ -287,10 +287,8 @@ std::vector<Fired> run_random_ops(Queue& queue, std::uint64_t seed) {
       add(0);
     } else if (op < 70) {
       if (!tokens.empty()) queue.cancel(tokens[rng.uniform_u64(tokens.size())]);
-    } else if (op < 99) {
-      queue.run_until(queue.now() + delay());
     } else {
-      queue.clear();
+      queue.run_until(queue.now() + delay());
     }
   }
   queue.run_until(queue.now() + SimTime::seconds(1'000));
@@ -346,10 +344,10 @@ TEST(CalendarQueueTest, CancellationWorksInBucketsAndOverflow) {
 TEST(CalendarQueueTest, PostedEventsRunWithoutHandles) {
   Simulator sim;
   std::vector<int> order;
-  sim.post(SimTime::millis(2), [&] { order.push_back(2); });
-  sim.post(SimTime::millis(1), [&] { order.push_back(1); });
+  sim.post_at(SimTime::millis(2), [&] { order.push_back(2); });
+  sim.post_at(SimTime::millis(1), [&] { order.push_back(1); });
   sim.post_at(SimTime::seconds(10), [&] { order.push_back(3); });
-  EXPECT_THROW(sim.post(SimTime::millis(-1), [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.post_at(SimTime::millis(-1), [] {}), std::invalid_argument);
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -357,7 +355,7 @@ TEST(CalendarQueueTest, PostedEventsRunWithoutHandles) {
 TEST(CalendarQueueTest, HighWaterAndPendingTrackWheelAndSpillover) {
   Simulator sim;
   for (int i = 0; i < 32; ++i) sim.schedule(SimTime::millis(1 + i % 3), [] {});
-  for (int i = 0; i < 8; ++i) sim.post(SimTime::seconds(10 + i), [] {});
+  for (int i = 0; i < 8; ++i) sim.post_at(SimTime::seconds(10 + i), [] {});
   EXPECT_EQ(sim.calendar_overflow_pending(), 8u);
   EXPECT_EQ(sim.pending_events(), 40u);
   EXPECT_EQ(sim.queue_high_water(), 40u);
@@ -366,17 +364,6 @@ TEST(CalendarQueueTest, HighWaterAndPendingTrackWheelAndSpillover) {
   EXPECT_EQ(sim.queue_high_water(), 40u);
   EXPECT_EQ(sim.events_executed(), 40u);
   EXPECT_EQ(sim.time_regressions(), 0u);
-}
-
-TEST(CalendarQueueTest, ClearDropsBucketAndOverflowEvents) {
-  Simulator sim;
-  int ran = 0;
-  sim.schedule(SimTime::millis(1), [&] { ++ran; });
-  sim.schedule(SimTime::seconds(20), [&] { ++ran; });
-  sim.clear();
-  EXPECT_EQ(sim.events_pending(), 0u);
-  sim.run_all();
-  EXPECT_EQ(ran, 0);
 }
 
 // --------------------------------------------------------------------------
@@ -633,12 +620,9 @@ TEST_F(TwoNodeFixture, UdpDoubleBindThrows) {
 }
 
 TEST_F(TwoNodeFixture, UdpCloseReleasesPort) {
-  auto s1 = b->udp().open(1000);
-  s1->close();
-  EXPECT_FALSE(s1->is_open());
+  // A socket closes when its last handle goes; the port is free again.
+  b->udp().open(1000);
   EXPECT_NO_THROW(b->udp().open(1000));
-  EXPECT_THROW(s1->send_to(Endpoint{a->address(), 1}, 1, TrafficOrigin::kHttp),
-               std::logic_error);
 }
 
 TEST_F(TwoNodeFixture, EphemeralPortsAreDistinct) {
@@ -686,20 +670,6 @@ TEST(PacketTest, TrafficClassOfOrigins) {
   EXPECT_EQ(traffic_class_of(TrafficOrigin::kMiraiSynFlood), TrafficClass::kMalicious);
   EXPECT_EQ(traffic_class_of(TrafficOrigin::kMiraiAckFlood), TrafficClass::kMalicious);
   EXPECT_EQ(traffic_class_of(TrafficOrigin::kMiraiUdpFlood), TrafficClass::kMalicious);
-}
-
-TEST(PacketTest, SummaryMentionsFlagsAndEndpoints) {
-  Packet p;
-  p.src = Ipv4Address{10, 0, 0, 1};
-  p.dst = Ipv4Address{10, 0, 1, 1};
-  p.src_port = 1234;
-  p.dst_port = 80;
-  p.proto = IpProto::kTcp;
-  p.tcp_flags = TcpFlags::kSyn;
-  const std::string s = p.summary();
-  EXPECT_NE(s.find("10.0.0.1:1234"), std::string::npos);
-  EXPECT_NE(s.find("10.0.1.1:80"), std::string::npos);
-  EXPECT_NE(s.find("[S]"), std::string::npos);
 }
 
 }  // namespace

@@ -637,9 +637,6 @@ TEST_F(TcpFixture, AckDuringBackoffResetsRetrySchedule) {
 TEST(TcpStateNames, AllDistinct) {
   EXPECT_EQ(to_string(TcpState::kListen), "LISTEN");
   EXPECT_EQ(to_string(TcpState::kEstablished), "ESTABLISHED");
-  EXPECT_EQ(to_string(TcpCloseReason::kGracefulClose), "graceful");
-  EXPECT_EQ(to_string(TcpCloseReason::kReset), "reset");
-  EXPECT_EQ(to_string(TcpCloseReason::kConnectTimeout), "connect-timeout");
 }
 
 }  // namespace

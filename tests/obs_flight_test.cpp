@@ -76,7 +76,7 @@ TEST(FlightRecorderTest, RingOverwritesOldestFirst) {
     EXPECT_EQ(events[i].sim_ns, static_cast<std::int64_t>((i + 2) * 100));
   }
 
-  rec.clear();
+  rec.configure(rec.config());  // reconfiguring empties the ring
   EXPECT_EQ(rec.size(), 0u);
   EXPECT_EQ(rec.overwritten(), 0u);
 }

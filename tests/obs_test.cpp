@@ -1,10 +1,12 @@
-// Unit tests for src/obs: metrics instruments, scoped timers, sim-time
-// tracing with Chrome export, the periodic sampler, and the JSON snapshot
-// writer.
+// Unit tests for src/obs: metrics instruments (the histogram template
+// against the implementations it replaced), scoped timers, sim-time
+// tracing with Chrome export, and the JSON snapshot writer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -12,11 +14,11 @@
 #include <vector>
 
 #include "net/simulator.hpp"
-#include "obs/latency.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
+#include "snapshot_reader.hpp"
+#include "util/rng.hpp"
 #include "util/sim_time.hpp"
 
 namespace ddoshield::obs {
@@ -230,6 +232,196 @@ TEST(HistogramTest, BucketFloorAgreesWithBucketAssignment) {
 }
 
 // --------------------------------------------------------------------------
+// Histogram template vs the two classes it replaced
+// --------------------------------------------------------------------------
+
+// The log2 and log-linear histograms as separate classes, verbatim in
+// everything that decides a value: bucket index, bucket floor, and the
+// quantile walk with its single-sample, q <= 0 / q >= 1 and clamp cases.
+// BucketHistogram must reproduce them bit for bit, or the v2 goldens and
+// every ".p99" series would move.
+struct ParentLog2Histogram {
+  static constexpr std::size_t kBuckets = 64;
+  static std::size_t index_of(std::uint64_t v) {
+    if (v < 2) return 0;
+    return static_cast<std::size_t>(63 - __builtin_clzll(v));
+  }
+  static std::uint64_t bucket_floor(std::size_t i) { return i == 0 ? 0 : (1ull << i); }
+  double interpolate(std::size_t i, double into) const {
+    const double lo = static_cast<double>(i == 0 ? 1 : (1ull << i));
+    const double hi = std::ldexp(1.0, static_cast<int>(i) + 1);
+    return lo * std::pow(hi / lo, into);
+  }
+  std::array<std::uint64_t, kBuckets> buckets{};
+};
+
+struct ParentLogLinearHistogram {
+  static constexpr int kSubBits = 5;
+  static constexpr std::size_t kSub = 1u << kSubBits;
+  static constexpr std::size_t kBuckets = 2 * kSub + (63 - kSubBits) * kSub;
+  static std::size_t index_of(std::uint64_t v) {
+    if (v < 2 * kSub) return static_cast<std::size_t>(v);
+    const int msb = 63 - __builtin_clzll(v);
+    const int shift = msb - kSubBits;
+    return static_cast<std::size_t>(shift + 1) * kSub +
+           (static_cast<std::size_t>(v >> shift) & (kSub - 1));
+  }
+  static std::uint64_t bucket_floor(std::size_t i) {
+    if (i < 2 * kSub) return i;
+    const std::uint64_t shift = i / kSub - 1;
+    const std::uint64_t sub = i % kSub;
+    return (kSub + sub) << shift;
+  }
+  static std::uint64_t bucket_width(std::size_t i) {
+    if (i < 2 * kSub) return 1;
+    return 1ull << (i / kSub - 1);
+  }
+  double interpolate(std::size_t i, double into) const {
+    const double lo = static_cast<double>(bucket_floor(i));
+    const double width = static_cast<double>(bucket_width(i));
+    return lo + width * into;
+  }
+  std::array<std::uint64_t, kBuckets> buckets{};
+};
+
+// The shared state and quantile walk both parents carried.
+template <typename Layout>
+struct ParentHistogram : Layout {
+  std::uint64_t count = 0, sum = 0, min_ = 0, max = 0;
+
+  void observe(std::uint64_t v) {
+    ++this->buckets[Layout::index_of(v)];
+    ++count;
+    sum += v;
+    if (count == 1 || v < min_) min_ = v;
+    if (v > max) max = v;
+  }
+  void merge_from(const ParentHistogram& other) {
+    if (other.count == 0) return;
+    for (std::size_t i = 0; i < Layout::kBuckets; ++i) this->buckets[i] += other.buckets[i];
+    if (count == 0 || other.min_ < min_) min_ = other.min_;
+    if (other.max > max) max = other.max;
+    count += other.count;
+    sum += other.sum;
+  }
+  void reset() { *this = ParentHistogram{}; }
+  std::uint64_t min() const { return count ? min_ : 0; }
+  double quantile(double q) const {
+    if (count == 0) return 0.0;
+    if (count == 1) return static_cast<double>(min());
+    if (q <= 0.0) return static_cast<double>(min());
+    if (q >= 1.0) return static_cast<double>(max);
+    const double target = q * static_cast<double>(count);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < Layout::kBuckets; ++i) {
+      if (this->buckets[i] == 0) continue;
+      seen += this->buckets[i];
+      if (static_cast<double>(seen) >= target) {
+        const double into = 1.0 - (static_cast<double>(seen) - target) /
+                                      static_cast<double>(this->buckets[i]);
+        const double v = this->interpolate(i, into);
+        return std::min(std::max(v, static_cast<double>(min())), static_cast<double>(max));
+      }
+    }
+    return static_cast<double>(max);
+  }
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+template <typename Ref, typename Hist>
+void expect_same_histogram(const Ref& ref, const Hist& h, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(Hist::kBuckets, Ref::kBuckets);
+  for (std::size_t i = 0; i < Hist::kBuckets; ++i) {
+    ASSERT_EQ(h.buckets()[i], ref.buckets[i]) << "bucket " << i;
+  }
+  EXPECT_EQ(h.count(), ref.count);
+  EXPECT_EQ(h.sum(), ref.sum);
+  EXPECT_EQ(h.min(), ref.min());
+  EXPECT_EQ(h.max(), ref.max);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(bits_of(h.quantile(q)), bits_of(ref.quantile(q))) << "q=" << q;
+  }
+}
+
+// Edge values (0, 1, 2^k - 1, 2^k, 2^63, UINT64_MAX) plus seeded samples
+// spread over every magnitude.
+std::vector<std::uint64_t> oracle_samples() {
+  std::vector<std::uint64_t> v{0, 1, 1ull << 63, std::numeric_limits<std::uint64_t>::max()};
+  for (int k = 1; k < 64; ++k) {
+    v.push_back((1ull << k) - 1);
+    v.push_back(1ull << k);
+  }
+  util::Rng rng{2024};
+  for (int i = 0; i < 4000; ++i) {
+    const auto shift = static_cast<int>(rng.uniform_u64(64));
+    v.push_back(rng.next_u64() >> shift);
+  }
+  return v;
+}
+
+template <typename Layout, typename Hist>
+void check_against_parent() {
+  const std::vector<std::uint64_t> samples = oracle_samples();
+  for (const std::uint64_t v : samples) {
+    ASSERT_EQ(Hist::index_of(v), Layout::index_of(v)) << "value " << v;
+  }
+  for (std::size_t i = 0; i < Hist::kBuckets; ++i) {
+    ASSERT_EQ(Hist::bucket_floor(i), Layout::bucket_floor(i)) << "bucket " << i;
+  }
+
+  ParentHistogram<Layout> ref;
+  Hist h;
+  expect_same_histogram(ref, h, "empty");
+  for (const std::uint64_t v : samples) {
+    ref.observe(v);
+    h.observe(v);
+  }
+  expect_same_histogram(ref, h, "all samples");
+
+  // Single samples: each edge value alone.
+  for (std::size_t i = 0; i < 130; ++i) {
+    ParentHistogram<Layout> one_ref;
+    Hist one;
+    one_ref.observe(samples[i]);
+    one.observe(samples[i]);
+    expect_same_histogram(one_ref, one, "single " + std::to_string(samples[i]));
+  }
+
+  // Merged halves, and a reset histogram refilled with a tail.
+  ParentHistogram<Layout> lo_ref, hi_ref;
+  Hist lo, hi;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    (i % 2 ? hi_ref : lo_ref).observe(samples[i]);
+    (i % 2 ? hi : lo).observe(samples[i]);
+  }
+  lo_ref.merge_from(hi_ref);
+  lo.merge_from(hi);
+  expect_same_histogram(lo_ref, lo, "merged");
+  lo_ref.reset();
+  lo.reset();
+  expect_same_histogram(lo_ref, lo, "reset");
+  for (std::size_t i = 200; i < 300; ++i) {
+    lo_ref.observe(samples[i]);
+    lo.observe(samples[i]);
+  }
+  expect_same_histogram(lo_ref, lo, "reset then refilled");
+}
+
+TEST(HistogramOracleTest, Log2LayoutMatchesTheParentClassBitForBit) {
+  check_against_parent<ParentLog2Histogram, Histogram>();
+}
+
+TEST(HistogramOracleTest, LogLinearLayoutMatchesTheParentClassBitForBit) {
+  check_against_parent<ParentLogLinearHistogram, LogLinearHistogram>();
+}
+
+// --------------------------------------------------------------------------
 // MetricsRegistry
 // --------------------------------------------------------------------------
 
@@ -249,22 +441,6 @@ TEST(MetricsRegistryTest, InstrumentPointersSurviveGrowth) {
   for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
   first->inc();
   EXPECT_EQ(reg.counter("first").value(), 1u);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("c");
-  Gauge& g = reg.gauge("g");
-  Histogram& h = reg.histogram("h");
-  c.inc(5);
-  g.set(9.0);
-  h.observe(7);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_DOUBLE_EQ(g.high_water(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(&reg.counter("c"), &c);  // same instrument, still registered
 }
 
 TEST(MetricsRegistryTest, GlobalIsSingleton) {
@@ -425,117 +601,7 @@ TEST(TraceRecorderTest, EventBudgetDropsAndCounts) {
 }
 
 // --------------------------------------------------------------------------
-// Sampler
-// --------------------------------------------------------------------------
-
-TEST(SamplerTest, SamplesOnCadenceAndWritesGauges) {
-  MetricsRegistry reg;
-  net::Simulator sim;
-  SamplerConfig cfg;
-  cfg.period = SimTime::millis(100);
-  Sampler sampler{reg, cfg};
-  int calls = 0;
-  sampler.add_probe("probe.value", [&calls] { return static_cast<double>(++calls); });
-  sampler.start(sim);
-  sim.run_until(SimTime::seconds(1));
-  EXPECT_EQ(sampler.samples_taken(), 10u);
-  EXPECT_EQ(calls, 10);
-  EXPECT_DOUBLE_EQ(reg.gauge("probe.value").value(), 10.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("probe.value").high_water(), 10.0);
-}
-
-TEST(SamplerTest, ObservesConsistentClockAtRunUntilBoundaries) {
-  MetricsRegistry reg;
-  net::Simulator sim;
-  SamplerConfig cfg;
-  cfg.period = SimTime::millis(250);
-  Sampler sampler{reg, cfg};
-  std::vector<SimTime> seen;
-  sampler.add_probe("probe.t", [&] {
-    seen.push_back(sim.now());
-    return 0.0;
-  });
-  sampler.start(sim);
-
-  // run_until to a boundary that is NOT a multiple of the period: ticks at
-  // 250/500/750 ms fire, the 1000 ms tick stays pending, and the clock
-  // still advances exactly to the boundary.
-  sim.run_until(SimTime::millis(900));
-  EXPECT_EQ(sim.now(), SimTime::millis(900));
-  ASSERT_EQ(seen.size(), 3u);
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i], cfg.period * static_cast<std::int64_t>(i + 1));
-  }
-  EXPECT_EQ(sampler.last_sample_at(), SimTime::millis(750));
-  EXPECT_LE(sampler.last_sample_at(), sim.now());
-
-  // Resuming past the next boundary fires the pending tick exactly at it.
-  sim.run_until(SimTime::millis(1100));
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen.back(), SimTime::millis(1000));
-  EXPECT_EQ(sim.now(), SimTime::millis(1100));
-}
-
-TEST(SamplerTest, StopsAtConfiguredHorizon) {
-  MetricsRegistry reg;
-  net::Simulator sim;
-  SamplerConfig cfg;
-  cfg.period = SimTime::millis(100);
-  cfg.until = SimTime::millis(350);
-  Sampler sampler{reg, cfg};
-  sampler.add_probe("p", [] { return 1.0; });
-  sampler.start(sim);
-  // Bounded horizon: the sampler stops re-arming, so run_all terminates.
-  sim.run_all();
-  EXPECT_EQ(sampler.samples_taken(), 3u);  // 100, 200, 300 ms
-  EXPECT_EQ(sampler.last_sample_at(), SimTime::millis(300));
-}
-
-TEST(SamplerTest, StopHaltsFutureTicks) {
-  MetricsRegistry reg;
-  net::Simulator sim;
-  SamplerConfig cfg;
-  cfg.period = SimTime::millis(100);
-  cfg.until = SimTime::seconds(10);
-  Sampler sampler{reg, cfg};
-  sampler.add_probe("p", [] { return 1.0; });
-  sampler.start(sim);
-  sim.run_until(SimTime::millis(250));
-  sampler.stop();
-  sim.run_until(SimTime::seconds(10));
-  EXPECT_EQ(sampler.samples_taken(), 2u);
-}
-
-TEST(SamplerTest, RejectsNonPositivePeriod) {
-  MetricsRegistry reg;
-  SamplerConfig cfg;
-  cfg.period = SimTime{};
-  EXPECT_THROW((Sampler{reg, cfg}), std::invalid_argument);
-}
-
-TEST(SamplerTest, EmitsTraceCountersWhenTracingEnabled) {
-  MetricsRegistry reg;
-  net::Simulator sim;
-  SamplerConfig cfg;
-  cfg.period = SimTime::millis(100);
-  Sampler sampler{reg, cfg};
-  sampler.add_probe("traced.gauge", [] { return 5.0; });
-  sampler.start(sim);
-
-  auto& trace = TraceRecorder::global();
-  trace.clear();
-  trace.set_enabled(true);
-  sim.run_until(SimTime::millis(200));
-  trace.set_enabled(false);
-  EXPECT_EQ(trace.size(), 2u);
-  std::ostringstream os;
-  trace.write_chrome_trace(os);
-  EXPECT_NE(os.str().find("traced.gauge"), std::string::npos);
-  trace.clear();
-}
-
-// --------------------------------------------------------------------------
-// LogLinearHistogram + LatencyTracker
+// LogLinearHistogram + registry latency series
 // --------------------------------------------------------------------------
 
 TEST(LogLinearHistogramTest, ValuesBelowTwoOctavesAreExact) {
@@ -553,7 +619,7 @@ TEST(LogLinearHistogramTest, ValuesBelowTwoOctavesAreExact) {
 TEST(LogLinearHistogramTest, BucketGeometryIsConsistent) {
   // Every bucket: floor lands back in the bucket, floor+width-1 stays in
   // it, and floor+width starts the next one (up to uint64 range).
-  for (std::size_t i = 0; i + 1 < LogLinearHistogram::kBucketCount; ++i) {
+  for (std::size_t i = 0; i + 1 < LogLinearHistogram::kBuckets; ++i) {
     const std::uint64_t lo = LogLinearHistogram::bucket_floor(i);
     const std::uint64_t w = LogLinearHistogram::bucket_width(i);
     EXPECT_EQ(LogLinearHistogram::index_of(lo), i) << "bucket " << i;
@@ -606,22 +672,42 @@ TEST(LogLinearHistogramTest, TracksCountSumMinMaxMeanAndResets) {
   EXPECT_EQ(h.max(), 0u);
 }
 
-TEST(LatencyTrackerTest, SeriesAreNamedStableAndResettable) {
-  LatencyTracker lat;
-  LogLinearHistogram& a = lat.series("flight.a");
-  LogLinearHistogram& b = lat.series("flight.b");
+TEST(MetricsRegistryTest, LatencySeriesAreNamedAndStable) {
+  MetricsRegistry reg;
+  LogLinearHistogram& a = reg.latency("flight.a");
+  LogLinearHistogram& b = reg.latency("flight.b");
   EXPECT_NE(&a, &b);
   // Re-resolving and registering more series returns the same node.
   a.observe(5);
-  for (int i = 0; i < 64; ++i) lat.series("flight.fill." + std::to_string(i));
-  EXPECT_EQ(&lat.series("flight.a"), &a);
+  for (int i = 0; i < 64; ++i) reg.latency("flight.fill." + std::to_string(i));
+  EXPECT_EQ(&reg.latency("flight.a"), &a);
   EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(lat.all().size(), 66u);
+  EXPECT_EQ(reg.latencies().size(), 66u);
+  // A latency series is its own instrument kind, apart from histograms.
+  EXPECT_TRUE(reg.histograms().empty());
+}
 
-  lat.reset();
-  EXPECT_EQ(a.count(), 0u);           // zeroed...
-  EXPECT_EQ(lat.all().size(), 66u);   // ...but registrations survive
-  EXPECT_EQ(&lat.series("flight.a"), &a);
+TEST(MetricsRegistryTest, MergeIntoAddsLatencySeriesBucketWise) {
+  MetricsRegistry shard_a, shard_b, merged, single;
+  for (std::uint64_t v : {3ull, 70ull, 5000ull}) {
+    shard_a.latency("flight.lag").observe(v);
+    single.latency("flight.lag").observe(v);
+  }
+  for (std::uint64_t v : {1ull, 1ull << 40}) {
+    shard_b.latency("flight.lag").observe(v);
+    single.latency("flight.lag").observe(v);
+  }
+  shard_b.latency("flight.only_b").observe(9);
+  shard_a.merge_into(merged);
+  shard_b.merge_into(merged);
+  const LogLinearHistogram& got = merged.latency("flight.lag");
+  const LogLinearHistogram& want = single.latency("flight.lag");
+  EXPECT_EQ(got.buckets(), want.buckets());
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.sum(), want.sum());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  EXPECT_EQ(merged.latency("flight.only_b").count(), 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -702,8 +788,7 @@ std::string read_golden(const std::string& name) {
 // was the writer's schema. Registries are written as v2 now; everything v1
 // carried must still read back identically from a v2 snapshot of the same
 // fixture, and the v1 bytes must still round-trip through the reader and
-// the SnapshotData writer (existing consumers of old BENCH_*.json
-// snapshots rely on both).
+// the test reader's SnapshotData writer.
 TEST(SnapshotTest, MatchesGoldenFile) {
   const std::string golden = read_golden("metrics_snapshot_v1.json");
   SnapshotData v1;
@@ -741,18 +826,17 @@ TEST(SnapshotTest, MatchesGoldenFile) {
   }
 }
 
-// Same fixture, v2 writer with a latency tracker attached: pins the v2
-// bytes the way the v1 golden pins v1.
+// Same fixture plus latency series: pins the v2 bytes the way the v1
+// golden pins v1.
 TEST(SnapshotTest, MatchesGoldenFileV2) {
   MetricsRegistry reg;
   fill_golden_fixture_registry(reg);
-  LatencyTracker lat;
-  auto& series = lat.series("flight.net.queue_ns");
+  auto& series = reg.latency("flight.net.queue_ns");
   for (std::uint64_t v : {0ull, 63ull, 64ull, 1000ull, 1ull << 20}) series.observe(v);
-  lat.series("flight.empty_series");
+  reg.latency("flight.empty_series");
 
   std::ostringstream os;
-  write_json_snapshot(reg, os, &lat);
+  write_json_snapshot(reg, os);
 
   const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2.json";
   std::ifstream in{path};
@@ -985,12 +1069,11 @@ TEST(SnapshotTest, ReaderRoundTripsV1Bytes) {
 TEST(SnapshotTest, ReaderRoundTripsV2Bytes) {
   MetricsRegistry reg;
   fill_golden_fixture_registry(reg);
-  LatencyTracker lat;
-  auto& series = lat.series("flight.net.queue_ns");
+  auto& series = reg.latency("flight.net.queue_ns");
   for (std::uint64_t v : {1ull, 100ull, 10000ull}) series.observe(v);
 
   std::ostringstream os;
-  write_json_snapshot(reg, os, &lat);
+  write_json_snapshot(reg, os);
   const std::string original = os.str();
 
   SnapshotData data;

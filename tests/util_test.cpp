@@ -47,12 +47,6 @@ TEST(SimTimeTest, ToSecondsRoundTrip) {
   EXPECT_DOUBLE_EQ(t.to_millis(), 1234.567);
 }
 
-TEST(SimTimeTest, InterArrivalInvertsRate) {
-  EXPECT_EQ(inter_arrival(200.0), SimTime::millis(5));
-  EXPECT_THROW(inter_arrival(0.0), std::invalid_argument);
-  EXPECT_THROW(inter_arrival(-1.0), std::invalid_argument);
-}
-
 // --------------------------------------------------------------------------
 // Rng
 // --------------------------------------------------------------------------
@@ -153,18 +147,6 @@ TEST(RngTest, PoissonMeanSmallAndLarge) {
   EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
-TEST(RngTest, WeightedIndexRespectsWeights) {
-  Rng rng{10};
-  std::vector<double> w{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 40000; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.75, 0.02);
-  EXPECT_THROW(rng.weighted_index({}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(rng.weighted_index({-1.0, 2.0}), std::invalid_argument);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng{11};
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
@@ -203,87 +185,6 @@ TEST(OnlineStatsTest, SingleSampleVarianceZero) {
   s.add(42.0);
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.mean(), 42.0);
-}
-
-TEST(OnlineStatsTest, ResetClears) {
-  OnlineStats s;
-  s.add(1.0);
-  s.add(2.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
-// --------------------------------------------------------------------------
-// FrequencyCounter
-// --------------------------------------------------------------------------
-
-TEST(FrequencyCounterTest, EntropyUniformIsLogN) {
-  FrequencyCounter fc;
-  for (std::uint64_t k = 0; k < 8; ++k) fc.add(k, 10);
-  EXPECT_NEAR(fc.entropy(), 3.0, 1e-12);  // log2(8)
-}
-
-TEST(FrequencyCounterTest, EntropySingleKeyIsZero) {
-  FrequencyCounter fc;
-  fc.add(80, 1000);
-  EXPECT_EQ(fc.entropy(), 0.0);
-  EXPECT_EQ(fc.max_share(), 1.0);
-}
-
-TEST(FrequencyCounterTest, EmptyEntropyZero) {
-  FrequencyCounter fc;
-  EXPECT_EQ(fc.entropy(), 0.0);
-  EXPECT_EQ(fc.max_share(), 0.0);
-  EXPECT_EQ(fc.distinct(), 0u);
-}
-
-TEST(FrequencyCounterTest, SkewReducesEntropy) {
-  FrequencyCounter uniform, skewed;
-  for (std::uint64_t k = 0; k < 4; ++k) uniform.add(k, 25);
-  skewed.add(0, 97);
-  for (std::uint64_t k = 1; k < 4; ++k) skewed.add(k, 1);
-  EXPECT_GT(uniform.entropy(), skewed.entropy());
-  EXPECT_GT(skewed.max_share(), 0.9);
-}
-
-TEST(FrequencyCounterTest, CountsAndReset) {
-  FrequencyCounter fc;
-  fc.add(53);
-  fc.add(53);
-  fc.add(80);
-  EXPECT_EQ(fc.count_of(53), 2u);
-  EXPECT_EQ(fc.count_of(99), 0u);
-  EXPECT_EQ(fc.total(), 3u);
-  fc.reset();
-  EXPECT_EQ(fc.total(), 0u);
-}
-
-// --------------------------------------------------------------------------
-// Histogram
-// --------------------------------------------------------------------------
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);    // bin 0
-  h.add(9.5);    // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 9
-  EXPECT_EQ(h.bins()[0], 2u);
-  EXPECT_EQ(h.bins()[9], 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, QuantileOfUniformFill) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(HistogramTest, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------
