@@ -39,21 +39,26 @@ RunStats run_campaign(std::size_t bots, double churn_rate, double attack_seconds
 
   core::Testbed tb{s};
   tb.deploy();
-  tb.sample_throughput_every(util::SimTime::seconds(1));
+  const obs::TimeSeries& uplink = *tb.sample_throughput_every(util::SimTime::seconds(1))
+                                       .store()
+                                       .find("testbed.uplink_rx_bps");
   tb.run();
 
   RunStats out;
   out.completions = tb.benign_completions();
   out.infected = tb.infected_devices();
+  // Sampling starts at t = 0, so tick k covers the second ending at
+  // (k + 1) s. Selecting by the integer tick keeps the boundary exact:
+  // (k + 1) * 1e9 ns read back as seconds can land just above 15.0.
   double sum = 0.0;
   int n = 0;
-  for (const auto& sample : tb.throughput_series()) {
-    const double t = sample.at.to_seconds();
-    if (t > 15.0 && t <= 15.0 + attack_seconds) {
-      sum += sample.uplink_rx_bps;
+  uplink.for_each([&](std::uint64_t tick, double bps) {
+    const double end_s = static_cast<double>(tick + 1);
+    if (end_s > 15.0 && end_s <= 15.0 + attack_seconds) {
+      sum += bps;
       ++n;
     }
-  }
+  });
   out.attack_uplink_mbps = n ? sum / n / 1e6 : 0.0;
   return out;
 }

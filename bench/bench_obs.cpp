@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "core/pipeline.hpp"
 #include "core/scenario.hpp"
 #include "core/testbed.hpp"
@@ -175,15 +176,8 @@ std::unique_ptr<ml::Classifier> train_model() {
   return model;
 }
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-// Per-observer paired ratios: within rep r, that mode's packets/s over the
-// same rep's off packets/s.
+// Per-observer paired ratios (bench::paired_ratios): within rep r, that
+// mode's packets/s over the same rep's off packets/s.
 struct Ratios {
   std::vector<double> flight;
   std::vector<double> telemetry;
@@ -221,8 +215,8 @@ void write_json(const std::string& path, const std::vector<RunResult>& runs,
     out << buf;
   }
   out << "  ],\n";
-  const double flight = median(ratios.flight);
-  const double telemetry = median(ratios.telemetry);
+  const double flight = bench::median(ratios.flight);
+  const double telemetry = bench::median(ratios.telemetry);
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "  \"comparison\": {\"flight_over_off_median\": %.4f, "
@@ -345,25 +339,19 @@ int main(int argc, char** argv) {
 
   constexpr Mode kModes[] = {Mode::kOff, Mode::kFlight, Mode::kTelemetry};
   std::vector<RunResult> runs;
-  Ratios ratios;
-  for (int rep = 0; rep < reps; ++rep) {
-    RunResult by_mode[3];
-    for (int k = 0; k < 3; ++k) {
-      const Mode mode = kModes[(rep + k) % 3];  // rotate which mode goes first
-      runs.push_back(run_once(mode, *model, mode == Mode::kTelemetry ? ndjson_path : ""));
-      const RunResult& r = runs.back();
-      std::printf("[rep %d] mode=%-9s wall=%.3fs packets/s=%.0f packets=%llu "
-                  "flight_recorded=%llu telemetry_ticks=%llu\n",
-                  rep, mode_name(mode), r.wall_seconds, r.packets_per_sec,
-                  static_cast<unsigned long long>(r.packets_total),
-                  static_cast<unsigned long long>(r.flight_recorded),
-                  static_cast<unsigned long long>(r.telemetry_ticks));
-      by_mode[static_cast<int>(mode)] = r;
-    }
-    const double off = by_mode[0].packets_per_sec;
-    ratios.flight.push_back(off > 0 ? by_mode[1].packets_per_sec / off : 0.0);
-    ratios.telemetry.push_back(off > 0 ? by_mode[2].packets_per_sec / off : 0.0);
-  }
+  auto paired = bench::paired_ratios(reps, 3, /*slices=*/1, [&](int rep, int m, int) {
+    const Mode mode = kModes[m];
+    runs.push_back(run_once(mode, *model, mode == Mode::kTelemetry ? ndjson_path : ""));
+    const RunResult& r = runs.back();
+    std::printf("[rep %d] mode=%-9s wall=%.3fs packets/s=%.0f packets=%llu "
+                "flight_recorded=%llu telemetry_ticks=%llu\n",
+                rep, mode_name(mode), r.wall_seconds, r.packets_per_sec,
+                static_cast<unsigned long long>(r.packets_total),
+                static_cast<unsigned long long>(r.flight_recorded),
+                static_cast<unsigned long long>(r.telemetry_ticks));
+    return r.wall_seconds;
+  });
+  const Ratios ratios{std::move(paired[0]), std::move(paired[1])};
 
   // The first run of each mode: its counters are the mode's baseline.
   const auto first_of = [&runs](Mode mode) -> const RunResult& {
@@ -400,8 +388,8 @@ int main(int argc, char** argv) {
   }
 
   const double floor = 1.0 - budget;
-  const double flight_ratio = median(ratios.flight);
-  const double telemetry_ratio = median(ratios.telemetry);
+  const double flight_ratio = bench::median(ratios.flight);
+  const double telemetry_ratio = bench::median(ratios.telemetry);
   std::printf("median over %d reps: flight/off=%.4f telemetry/off=%.4f "
               "(floor %.2f, budget %.0f%%)\n",
               reps, flight_ratio, telemetry_ratio, floor, budget * 100.0);

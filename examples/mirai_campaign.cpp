@@ -45,14 +45,14 @@ int main() {
 
   core::Testbed tb{s};
   tb.deploy();
-  tb.sample_throughput_every(util::SimTime::seconds(1));
+  const obs::TelemetryCollector& sampler = tb.sample_throughput_every(util::SimTime::seconds(1));
+  const obs::TimeSeriesStore& series = sampler.store();
 
   std::printf("t(s)  bots  benign-goodput(kbit/s)  uplink(Mbit/s)  phase\n");
   for (int t = 1; t <= 60; ++t) {
     tb.run_until(util::SimTime::seconds(t));
-    const auto& series = tb.throughput_series();
-    if (series.empty()) continue;
-    const auto& sample = series.back();
+    if (sampler.ticks() == 0) continue;
+    const util::SimTime at = sampler.last_tick_at();
 
     const char* phase = "benign";
     if (t < 3) {
@@ -61,14 +61,16 @@ int main() {
       phase = "infection";
     }
     for (const auto& a : s.attacks) {
-      if (sample.at > a.start && sample.at <= a.start + a.duration) {
+      if (at > a.start && at <= a.start + a.duration) {
         phase = botnet::to_string(a.type) == "syn"   ? "SYN FLOOD"
                 : botnet::to_string(a.type) == "ack" ? "ACK FLOOD"
                                                      : "UDP FLOOD";
       }
     }
-    std::printf("%3d   %4zu  %22.1f  %14.2f  %s\n", t, sample.connected_bots,
-                sample.benign_goodput_bps / 1e3, sample.uplink_rx_bps / 1e6, phase);
+    std::printf("%3d   %4zu  %22.1f  %14.2f  %s\n", t,
+                static_cast<std::size_t>(series.find("testbed.connected_bots")->latest()),
+                series.find("testbed.benign_goodput_bps")->latest() / 1e3,
+                series.find("testbed.uplink_rx_bps")->latest() / 1e6, phase);
   }
 
   std::printf("\ncampaign summary:\n");

@@ -65,9 +65,6 @@ void PacketTap::on_packet(const net::Packet& pkt, net::TapDirection dir, net::No
     case net::TapDirection::kSent:
       if (!config_.capture_sent) return;
       break;
-    case net::TapDirection::kForwarded:
-      if (!config_.capture_forwarded) return;
-      break;
   }
   ++packets_captured_;
   m_packets_->inc();

@@ -43,7 +43,6 @@ namespace ddoshield::capture {
 struct TapConfig {
   bool capture_received = true;
   bool capture_sent = true;
-  bool capture_forwarded = false;  // enable when tapping the router instead
   /// Added to every record's timestamp: maps the simulation's 0-based
   /// clock onto the capture wall clock. A detection run performed after a
   /// training capture carries a later offset, exactly like the absolute

@@ -93,9 +93,18 @@ capture::PacketTap& ShardIdsPipeline::add_tap(std::size_t shard) {
   return taps_.back()->tap;
 }
 
-void ShardIdsPipeline::add_filter(mitigate::EdgeFilter* filter) {
+void ShardIdsPipeline::add_filter(mitigate::EdgeFilter* filter, net::Ipv4Address prefix,
+                                  int prefix_len) {
   if (armed_) throw std::logic_error("ShardIdsPipeline: add_filter after arm()");
-  filters_.push_back(filter);
+  filters_.push_back(EdgeBlock{prefix, prefix_len, filter});
+}
+
+mitigate::EdgeFilter& ShardIdsPipeline::filter_for(std::uint32_t src) const {
+  for (const EdgeBlock& b : filters_) {
+    if (b.prefix.same_subnet(net::Ipv4Address{src}, b.prefix_len)) return *b.filter;
+  }
+  throw std::logic_error("ShardIdsPipeline: no edge filter's block holds source " +
+                         net::Ipv4Address{src}.to_string());
 }
 
 void ShardIdsPipeline::arm() {
@@ -112,18 +121,12 @@ void ShardIdsPipeline::arm() {
     m_detect_lag_ns_ = &reg.histogram("ids.detect_lag_ns");
   }
   mitigate::VerdictPolicy::Hooks hooks;
-  hooks.install_acl = [this](std::uint32_t src) {
-    for (auto* f : filters_) f->install_acl(src);
-  };
-  hooks.remove_acl = [this](std::uint32_t src) {
-    for (auto* f : filters_) f->remove_acl(src);
-  };
+  hooks.install_acl = [this](std::uint32_t src) { filter_for(src).install_acl(src); };
+  hooks.remove_acl = [this](std::uint32_t src) { filter_for(src).remove_acl(src); };
   hooks.install_limit = [this](std::uint32_t src, double pps, double burst) {
-    for (auto* f : filters_) f->install_limit(src, pps, burst);
+    filter_for(src).install_limit(src, pps, burst);
   };
-  hooks.remove_limit = [this](std::uint32_t src) {
-    for (auto* f : filters_) f->remove_limit(src);
-  };
+  hooks.remove_limit = [this](std::uint32_t src) { filter_for(src).remove_limit(src); };
   // No quarantine hook: the scale workload's devices are plain nodes, not
   // crashable apps; the ladder tops out at the ACL.
   policy_.set_hooks(std::move(hooks));

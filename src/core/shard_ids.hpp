@@ -11,8 +11,8 @@
 // builds the feature rows of, and groups the verdicts of the taps it owns
 // (ShardedSim::for_each_shard), while shard 0 alone merges the per-tap
 // partials, scores each tap's rows, and walks the per-source verdicts
-// through the shared mitigate::VerdictPolicy, enforcing through every
-// cluster edge's EdgeFilter.
+// through the shared mitigate::VerdictPolicy, enforcing each source's rules
+// on the EdgeFilter of the cluster edge whose address block holds it.
 //
 // Determinism contract (DESIGN.md §15) — why the merged windows are
 // byte-identical across shard counts:
@@ -94,10 +94,12 @@ class ShardIdsPipeline {
   /// the tap to the cluster's device nodes before traffic starts.
   capture::PacketTap& add_tap(std::size_t shard);
 
-  /// Registers an enforcement target. Policy hooks install/remove rules
-  /// on every registered filter (a source only traverses its own edge, so
-  /// fleet-wide installs are layout-invariant and harmless).
-  void add_filter(mitigate::EdgeFilter* filter);
+  /// Registers the enforcement target for the sources in the address
+  /// block prefix/prefix_len (a cluster edge's filter and the cluster's
+  /// block). A source traverses only its own edge, so policy hooks
+  /// install/remove its rules only on the filter whose block holds it; a
+  /// source no block holds is a wiring bug (std::logic_error).
+  void add_filter(mitigate::EdgeFilter* filter, net::Ipv4Address prefix, int prefix_len);
 
   /// Installs the window sync hook on the ShardedSim. Call after every
   /// add_tap/add_filter and before run_until.
@@ -126,15 +128,21 @@ class ShardIdsPipeline {
 
  private:
   struct TapState;
+  struct EdgeBlock {
+    net::Ipv4Address prefix;
+    int prefix_len = 0;
+    mitigate::EdgeFilter* filter = nullptr;
+  };
 
   void on_window(util::SimTime now);
   void close_window(util::SimTime now, std::uint64_t index);
+  mitigate::EdgeFilter& filter_for(std::uint32_t src) const;
 
   ShardedSim& sim_;
   const ml::Classifier& model_;
   ShardIdsConfig config_;
   std::vector<std::unique_ptr<TapState>> taps_;  // merge order
-  std::vector<mitigate::EdgeFilter*> filters_;
+  std::vector<EdgeBlock> filters_;
   mitigate::VerdictPolicy policy_;
   bool armed_ = false;
 

@@ -236,7 +236,7 @@ ShardWorkloadResult run_shard_workload(const ShardWorkloadConfig& config) {
         edge_filters.push_back(std::make_unique<mitigate::EdgeFilter>(
             sim.simulator(shard_of_cluster(c)), tserver.address()));
         edges[c]->set_ingress_filter(edge_filters.back().get());
-        pipeline->add_filter(edge_filters.back().get());
+        pipeline->add_filter(edge_filters.back().get(), cluster_prefix(c), kClusterPrefixLen);
       }
     }
   }
@@ -449,6 +449,10 @@ ShardWorkloadResult run_shard_workload(const ShardWorkloadConfig& config) {
       result.acl_dropped += edge->stats().dropped_acl;
       result.ratelimit_dropped += edge->stats().dropped_ratelimit;
     }
+    for (const auto& filter : edge_filters)
+      result.edge_rules += filter->acl_rules() + filter->limit_rules();
+    result.policy_rules =
+        pipeline->policy().active_acls() + pipeline->policy().active_limits();
   }
 
   if (telemetry) {

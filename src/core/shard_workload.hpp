@@ -133,6 +133,10 @@ struct ShardWorkloadResult {
   std::vector<std::int64_t> ids_close_wall_ns;  // wall ns per window close
   std::uint64_t acl_dropped = 0;        // summed over edge ingress filters
   std::uint64_t ratelimit_dropped = 0;
+  /// Rules (ACLs + rate limits) installed when the run ends: summed over
+  /// the edge filters, and as the policy counts its enforced sources.
+  std::size_t edge_rules = 0;
+  std::size_t policy_rules = 0;
 
   // Invariants --------------------------------------------------------------
   bool conservation_ok = false;

@@ -1,6 +1,7 @@
 #include "core/testbed.hpp"
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "net/tcp.hpp"
@@ -336,10 +337,31 @@ std::uint64_t Testbed::benign_completions() const {
   return n;
 }
 
-void Testbed::sample_throughput_every(SimTime interval) {
+obs::TelemetryCollector& Testbed::sample_throughput_every(SimTime interval) {
   if (!deployed_) throw std::logic_error("Testbed: deploy() before sampling");
-  throughput_interval_ = interval;
-  net_.simulator().schedule(interval, [this] { throughput_tick(); });
+  obs::TelemetryConfig cfg;
+  cfg.interval = interval;
+  cfg.until = scenario_.duration;
+  throughput_sampling_ =
+      std::make_unique<obs::TelemetryCollector>(cfg, obs::MetricsRegistry::global());
+  obs::TelemetryCollector& c = *throughput_sampling_;
+  // Bits per second a byte total gained over the interval just ended.
+  const auto rate = [seconds = interval.to_seconds()](std::function<std::uint64_t()> bytes) {
+    return [bytes = std::move(bytes), seconds, last = std::uint64_t{0}]() mutable {
+      const std::uint64_t now = bytes();
+      const double bps = static_cast<double>(now - last) * 8.0 / seconds;
+      last = now;
+      return bps;
+    };
+  };
+  c.add_probe("testbed.benign_goodput_bps", obs::SeriesDomain::kSim,
+              rate([this] { return benign_bytes_delivered(); }));
+  c.add_probe("testbed.uplink_rx_bps", obs::SeriesDomain::kSim,
+              rate([this] { return topo_.uplink->stats_from(*topo_.router).tx_bytes; }));
+  c.add_probe("testbed.connected_bots", obs::SeriesDomain::kSim,
+              [this] { return static_cast<double>(connected_bots()); });
+  c.start(net_.simulator());
+  return c;
 }
 
 obs::TelemetryCollector& Testbed::enable_metrics_sampling(SimTime period) {
@@ -364,22 +386,6 @@ obs::TelemetryCollector& Testbed::enable_metrics_sampling(SimTime period) {
   });
   c.start(net_.simulator());
   return c;
-}
-
-void Testbed::throughput_tick() {
-  const std::uint64_t benign_now = benign_bytes_delivered();
-  const std::uint64_t uplink_now = topo_.uplink->stats_from(*topo_.router).tx_bytes;
-  ThroughputSample s;
-  s.at = net_.simulator().now();
-  s.benign_goodput_bps = static_cast<double>(benign_now - last_benign_bytes_) * 8.0 /
-                         throughput_interval_.to_seconds();
-  s.uplink_rx_bps = static_cast<double>(uplink_now - last_uplink_rx_bytes_) * 8.0 /
-                    throughput_interval_.to_seconds();
-  s.connected_bots = connected_bots();
-  throughput_.push_back(s);
-  last_benign_bytes_ = benign_now;
-  last_uplink_rx_bytes_ = uplink_now;
-  net_.simulator().schedule(throughput_interval_, [this] { throughput_tick(); });
 }
 
 }  // namespace ddoshield::core

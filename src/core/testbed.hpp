@@ -33,15 +33,6 @@
 
 namespace ddoshield::core {
 
-/// Per-second victim-side throughput sample, for the DDoSim-substrate
-/// experiments (E6).
-struct ThroughputSample {
-  util::SimTime at;
-  double benign_goodput_bps = 0.0;   // application bytes served to clients
-  double uplink_rx_bps = 0.0;        // everything arriving at the TServer
-  std::size_t connected_bots = 0;
-};
-
 class Testbed {
  public:
   explicit Testbed(Scenario scenario);
@@ -109,9 +100,14 @@ class Testbed {
   std::uint64_t benign_failures() const;
   std::uint64_t benign_completions() const;
 
-  const std::vector<ThroughputSample>& throughput_series() const { return throughput_; }
-  /// Enables periodic throughput sampling (E6); call before run().
-  void sample_throughput_every(util::SimTime interval);
+  /// Starts a telemetry collector on the simulation clock that records the
+  /// victim-side throughput every `interval` of sim time until the scenario
+  /// ends (the DDoSim-substrate experiments, E6): "testbed.benign_goodput_bps"
+  /// (benign application bytes delivered to clients), "testbed.uplink_rx_bps"
+  /// (everything the router sends up the TServer uplink), both over the
+  /// interval just ended, and "testbed.connected_bots". Call after deploy(),
+  /// before run().
+  obs::TelemetryCollector& sample_throughput_every(util::SimTime interval);
 
   /// Starts a telemetry collector on the simulation clock whose probes
   /// snapshot event-queue depth, uplink queue occupancy, TServer active TCP
@@ -129,12 +125,10 @@ class Testbed {
   void schedule_attacks();
   void schedule_churn();
   void churn_tick();
-  void throughput_tick();
   void install_bot(std::size_t device_index);
 
   Scenario scenario_;
   util::Rng churn_rng_{0};
-  util::SimTime throughput_interval_;
   net::Network net_;
   net::StarTopology topo_;
   container::ContainerRuntime runtime_;
@@ -173,10 +167,7 @@ class Testbed {
 
   // Observability.
   std::unique_ptr<obs::TelemetryCollector> metrics_sampling_;
-
-  std::vector<ThroughputSample> throughput_;
-  std::uint64_t last_benign_bytes_ = 0;
-  std::uint64_t last_uplink_rx_bytes_ = 0;
+  std::unique_ptr<obs::TelemetryCollector> throughput_sampling_;
 };
 
 }  // namespace ddoshield::core

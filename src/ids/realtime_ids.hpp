@@ -101,8 +101,8 @@ struct IdsSummary {
 struct IdsConfig {
   util::SimTime window = util::SimTime::seconds(1);
   ResourceMeterConfig meter;
-  /// Model lifecycle (drift detection, background retraining, hot-swap;
-  /// DESIGN.md §14). Disabled by default: no manager, no worker thread.
+  /// Model lifecycle (drift detection, inline retraining, hot-swap;
+  /// DESIGN.md §14). Disabled by default: no manager.
   ml::lifecycle::LifecycleConfig lifecycle;
 };
 

@@ -54,8 +54,8 @@ class Classifier {
 
   std::vector<int> predict_batch(const DesignMatrix& x) const;
 
-  /// Incremental in-place refresh from a labelled replay batch — the
-  /// lifecycle retrainer's entry point (DESIGN.md §14). Each model defines
+  /// Incremental in-place refresh from a labelled replay batch — what a
+  /// lifecycle retrain runs (DESIGN.md §14). Each model defines
   /// its own cheap update: RF replaces a subset of trees, K-Means re-runs
   /// Lloyd from the current centroids, the CNN fine-tunes for a few
   /// epochs. The update must be a pure function of (current parameters,
@@ -68,7 +68,7 @@ class Classifier {
 
   /// Copies runtime deployment knobs (e.g. the CNN's int8 inference
   /// switch) from `reference` onto this model. Serialization carries only
-  /// parameters, so the lifecycle retrainer calls this on a freshly
+  /// parameters, so a lifecycle retrain calls this on a freshly
   /// deserialized clone to make it serve in the same mode as the model it
   /// replaces. Base implementation: no knobs, no-op.
   virtual void adopt_deployment(const Classifier& reference);

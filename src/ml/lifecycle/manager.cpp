@@ -15,7 +15,6 @@ LifecycleManager::LifecycleManager(const Classifier& initial_model, std::size_t 
       drift_{features, config.drift},
       replay_{features, config.replay_capacity_rows,
               util::Rng{config.seed}.fork("lifecycle-replay")},
-      retrainer_{initial_model, config.retrainer},
       rng_{util::Rng{config.seed}.fork("lifecycle-manager")} {
   if (!initial_model.trained()) {
     throw std::logic_error("LifecycleManager: initial model must be trained");
@@ -32,22 +31,15 @@ LifecycleManager::LifecycleManager(const Classifier& initial_model, std::size_t 
 std::shared_ptr<const Classifier> LifecycleManager::maybe_swap(std::uint64_t window_index) {
   std::shared_ptr<const Classifier> swapped;
   while (!pending_.empty() && pending_.front().apply_window <= window_index) {
-    const PendingSwap due = pending_.front();
+    PendingSwap due = std::move(pending_.front());
     pending_.pop_front();
-    // Blocking wall-clock wait, zero sim time: the apply *window* was
-    // fixed at trigger time from sim-domain state alone, so how long the
-    // worker takes never shows in the replay.
-    RetrainResult res = retrainer_.collect();
-    if (res.version != due.version) {
-      throw std::logic_error("LifecycleManager: retrain results out of order");
-    }
     ++retrains_completed_;
-    if (!res.updated) {
+    if (!due.model) {
       ++retrain_noops_;  // model has no incremental path: keep serving the old one
       continue;
     }
-    current_ = std::move(res.model);
-    version_ = res.version;
+    current_ = std::move(due.model);
+    version_ = due.version;
     swaps_.push_back(SwapRecord{version_, window_index, due.trigger_window,
                                due.drift_triggered});
     swapped = current_;
@@ -72,17 +64,23 @@ void LifecycleManager::observe_window(std::uint64_t window_index, const DesignMa
 }
 
 void LifecycleManager::trigger_retrain(std::uint64_t window_index, bool drift_triggered) {
-  RetrainJob job;
-  job.version = next_version_++;
-  job.trigger_window = window_index;
-  job.model_bytes = serialize_model(current_model());
-  replay_.snapshot(job.x, job.y);
-  job.rng = rng_.fork_stream("retrain", job.version);
-  pending_.push_back(PendingSwap{window_index + config_.apply_latency_windows, job.version,
-                                window_index, drift_triggered});
-  retrainer_.submit(std::move(job));
+  const std::uint64_t version = next_version_++;
+  // Retrain a clone, never the served object. Serialization carries only
+  // parameters, so the clone's retrain hyperparameters (CNN fine-tune
+  // epochs, RF refresh fraction, ...) reset to defaults on load; adopting
+  // the deployment's knobs BEFORE updating runs the update under the
+  // deployed configuration.
+  std::unique_ptr<Classifier> clone = deserialize_model(serialize_model(current_model()));
+  clone->adopt_deployment(*base_model_);
+  DesignMatrix x;
+  std::vector<int> y;
+  replay_.snapshot(x, y);
+  util::Rng rng = rng_.fork_stream("retrain", version);
+  std::shared_ptr<const Classifier> model;
+  if (clone->incremental_update(x, y, rng)) model = std::move(clone);
+  pending_.push_back(PendingSwap{window_index + config_.apply_latency_windows, version,
+                                window_index, drift_triggered, std::move(model)});
   triggered_yet_ = true;
-  last_trigger_window_ = window_index;
   windows_since_trigger_ = 0;
 }
 

@@ -7,16 +7,15 @@
 //   observe_window(...) — feeds the closed window to the drift detector
 //                         and replay buffer, possibly triggering a retrain.
 //
-// A retrain trigger serializes the currently-served model, snapshots the
-// replay buffer, forks a per-version Rng stream, and submits the job to
-// the background Retrainer; the swap is *scheduled* for trigger window +
-// apply_latency_windows. At the apply window maybe_swap() blocks until the
-// retrainer delivers that version, then swaps it in. The wait costs wall
-// time only: the simulation does not advance while it blocks, so how long
-// the worker takes never shows in sim time. Every decision (when to
-// trigger, which data, which rng, when to apply) is a pure function of
-// sim-domain state, so same-seed runs swap at the same windows to
-// bit-identical models.
+// A retrain trigger retrains inline: it clones the currently-served model
+// through serialize/deserialize, adopts the deployed model's runtime knobs,
+// snapshots the replay buffer, forks a per-version Rng stream and runs
+// Classifier::incremental_update on the clone. The finished model waits
+// until trigger window + apply_latency_windows, when maybe_swap() swaps it
+// in. The retrain costs wall time in the trigger window's close and no sim
+// time. Every decision (when to trigger, which data, which rng, when to
+// apply) is a pure function of sim-domain state, so same-seed runs swap at
+// the same windows to bit-identical models.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +26,15 @@
 #include "ml/classifier.hpp"
 #include "ml/lifecycle/drift.hpp"
 #include "ml/lifecycle/replay_buffer.hpp"
-#include "ml/lifecycle/retrainer.hpp"
 #include "util/rng.hpp"
 
 namespace ddoshield::ml::lifecycle {
 
 struct LifecycleConfig {
   /// Master switch; an IDS with a disabled config never constructs a
-  /// manager (zero threads, zero overhead).
+  /// manager (zero overhead).
   bool enabled = false;
   DriftConfig drift;
-  RetrainerConfig retrainer;
   /// Replay-buffer reservoir size (rows resident, the memory budget).
   std::size_t replay_capacity_rows = 4096;
   /// Periodic retrain cadence in windows; 0 = drift-alarms only.
@@ -68,13 +65,14 @@ class LifecycleManager {
   LifecycleManager(const Classifier& initial_model, std::size_t features,
                    LifecycleConfig config);
 
-  /// Applies a swap scheduled for a window <= `window_index`, if any,
-  /// blocking until the retrainer delivers it. Returns the new model, or
-  /// nullptr when nothing lands here. Call before scoring the window.
+  /// Applies a swap scheduled for a window <= `window_index`, if any.
+  /// Returns the new model, or nullptr when nothing lands here. Call
+  /// before scoring the window.
   std::shared_ptr<const Classifier> maybe_swap(std::uint64_t window_index);
 
-  /// Feeds one closed window's raw rows and truth labels; may submit a
-  /// retrain. Call after maybe_swap() for the same window.
+  /// Feeds one closed window's raw rows and truth labels; may trigger a
+  /// retrain, which runs before this returns. Call after maybe_swap() for
+  /// the same window.
   void observe_window(std::uint64_t window_index, const DesignMatrix& x,
                       const std::vector<int>& y);
 
@@ -108,14 +106,12 @@ class LifecycleManager {
   const Classifier* base_model_;
   DriftDetector drift_;
   ReplayBuffer replay_;
-  Retrainer retrainer_;
   util::Rng rng_;
 
   std::shared_ptr<const Classifier> current_;  // null until the first swap
   std::uint64_t version_ = 1;
   std::uint64_t next_version_ = 2;
   bool triggered_yet_ = false;
-  std::uint64_t last_trigger_window_ = 0;
   std::uint64_t windows_since_trigger_ = 0;
 
   struct PendingSwap {
@@ -123,6 +119,9 @@ class LifecycleManager {
     std::uint64_t version = 0;
     std::uint64_t trigger_window = 0;
     bool drift_triggered = false;
+    /// The retrained model; null when incremental_update refused (the
+    /// swap then counts as a no-op and the old model keeps serving).
+    std::shared_ptr<const Classifier> model;
   };
   std::deque<PendingSwap> pending_;
 

@@ -1,4 +1,4 @@
-// Bounded replay buffer of labelled feature rows for background retraining.
+// Bounded replay buffer of labelled feature rows for lifecycle retraining.
 //
 // Classic reservoir sampling (Vitter's algorithm R) over the stream of
 // per-window rows: every row ever fed has equal probability capacity/seen

@@ -173,7 +173,6 @@ void Node::deliver(Packet pkt) {
     return;
   }
   ++stats_.forwarded_packets;
-  run_taps(pkt, TapDirection::kForwarded);
   if (!links_[static_cast<std::size_t>(ifindex)]->transmit(*this, std::move(pkt))) {
     ++stats_.dropped_link;
   }

@@ -28,7 +28,7 @@ namespace ddoshield::net {
 class TcpHost;
 class UdpHost;
 
-enum class TapDirection { kSent, kReceived, kForwarded };
+enum class TapDirection { kSent, kReceived };
 
 using TapFn = std::function<void(const Packet&, TapDirection)>;
 

@@ -20,9 +20,8 @@
 // configure(); old events are overwritten, counted in flight.dropped.
 //
 // Thread rules: record() is simulation-thread only, like the registry's
-// instruments. The inference worker never records; the IDS records the
-// submit/complete stamps from the simulation thread as it hands off and
-// drains work.
+// instruments. The IDS stamps infer_submit/infer_complete around its
+// inline scoring pass.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -23,23 +22,6 @@
 #include <string_view>
 
 namespace ddoshield::obs {
-
-/// Relaxed atomic counter for code that runs off the simulation thread
-/// (the lifecycle's retrain worker). The registry's Counter / Gauge /
-/// Histogram are deliberately unsynchronised — every other layer is
-/// single-threaded and the hot path must stay a plain integer increment —
-/// so cross-thread producers accumulate into a RelaxedCounter and the
-/// owning component publishes the value into a registry instrument from
-/// the simulation thread (see ml::lifecycle::LifecycleManager::publish_metrics).
-class RelaxedCounter {
- public:
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
 
 /// Monotonically increasing event count.
 class Counter {

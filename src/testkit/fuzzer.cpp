@@ -66,9 +66,7 @@ core::Scenario Fuzzer::generate_scenario(std::uint64_t seed) {
 namespace {
 
 void log_packet(EventLog& log, SimTime now, const net::Packet& pkt, net::TapDirection dir) {
-  const char d = dir == net::TapDirection::kSent       ? 's'
-                 : dir == net::TapDirection::kReceived ? 'r'
-                                                       : 'f';
+  const char d = dir == net::TapDirection::kSent ? 's' : 'r';
   char line[224];
   std::snprintf(line, sizeof line,
                 "t=%lld %c uid=%llu %s:%u>%s:%u proto=%u flags=%u seq=%u ack=%u len=%u "

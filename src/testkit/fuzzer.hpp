@@ -29,8 +29,8 @@ struct FuzzOptions {
   /// IDS deploys (requires ids_model). Every mitigation action is appended
   /// to the event log, so same-seed replay covers enforcement too.
   bool enable_mitigation = false;
-  /// Arm the model lifecycle (drift detection, background retraining,
-  /// versioned hot-swap) with an aggressive cadence so short fuzz
+  /// Arm the model lifecycle (drift detection, retraining, versioned
+  /// hot-swap) with an aggressive cadence so short fuzz
   /// scenarios actually swap models mid-run. Window lines carry the
   /// serving model version and a lifecycle summary line is appended, so
   /// same-seed replay pins the whole drift→retrain→swap sequence.
@@ -39,7 +39,7 @@ struct FuzzOptions {
   bool enable_faults = true;
   /// Watch the whole network with an InvariantChecker.
   bool check_invariants = true;
-  /// Log every packet the victim's node sends/receives/forwards.
+  /// Log every packet the victim's node sends or receives.
   bool log_packets = true;
   /// Extra simulated time after the scenario ends for retransmission
   /// chains to die out; covers the worst TCP retry backoff (~32 s).

@@ -1,8 +1,7 @@
 // Bounded lock-free single-producer / single-consumer ring.
 //
 // The hand-off between two threads: a shard and its neighbour (the
-// cross-shard channels), or the simulation thread and the lifecycle's
-// retrain worker. Capacity is rounded up to a power of two;
+// cross-shard channels). Capacity is rounded up to a power of two;
 // try_push / try_pop are wait-free: one relaxed load of the caller's own
 // index, at most one acquire load of the opposite index, and one release
 // store. Indices grow monotonically and are masked on access, so empty

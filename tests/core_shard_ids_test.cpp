@@ -360,6 +360,14 @@ TEST(ShardIdsTest, MitigationEngagesAtTheEdges) {
   EXPECT_GT(r.acl_dropped + r.ratelimit_dropped, 0u);
 }
 
+TEST(ShardIdsTest, EachSourceRuleLivesOnlyOnItsOwnEdge) {
+  // A source traverses only its own cluster's edge, so the edges together
+  // hold exactly one rule per source the policy enforces against.
+  const ShardWorkloadResult r = run_shard_workload(ids_workload(2, 42));
+  EXPECT_GT(r.policy_rules, 0u);
+  EXPECT_EQ(r.edge_rules, r.policy_rules);
+}
+
 TEST(ShardIdsTest, ShardCountsProduceByteIdenticalDetection) {
   const ShardWorkloadResult one = run_shard_workload(ids_workload(1, 7));
   EXPECT_GT(one.ids_truth, 0u);

@@ -181,16 +181,18 @@ TEST(TestbedTest, ChurnTakesDevicesOffline) {
   s.churn.down_time = SimTime::seconds(4);
   Testbed tb{s};
   tb.deploy();
-  tb.sample_throughput_every(SimTime::seconds(1));
+  const obs::TimeSeries& bots = *tb.sample_throughput_every(SimTime::seconds(1))
+                                     .store()
+                                     .find("testbed.connected_bots");
   tb.run();
   // With churn, at least one sample should show fewer connected bots than
   // the infected count (bots reconnect after link-down).
   bool dip = false;
-  for (const auto& sample : tb.throughput_series()) {
-    if (sample.connected_bots < tb.infected_devices()) dip = true;
-  }
+  bots.for_each([&](std::uint64_t, double connected) {
+    if (connected < static_cast<double>(tb.infected_devices())) dip = true;
+  });
   EXPECT_TRUE(dip);
-  EXPECT_EQ(tb.throughput_series().size(), 30u);
+  EXPECT_EQ(bots.points(), 30u);
 }
 
 TEST(TestbedTest, ThroughputSamplerTracksGoodput) {
@@ -198,11 +200,11 @@ TEST(TestbedTest, ThroughputSamplerTracksGoodput) {
   s.attacks.clear();
   Testbed tb{s};
   tb.deploy();
-  tb.sample_throughput_every(SimTime::seconds(1));
+  const obs::TimeSeries& goodput = *tb.sample_throughput_every(SimTime::seconds(1))
+                                        .store()
+                                        .find("testbed.benign_goodput_bps");
   tb.run();
-  double total_goodput = 0.0;
-  for (const auto& sample : tb.throughput_series()) total_goodput += sample.benign_goodput_bps;
-  EXPECT_GT(total_goodput, 0.0);
+  EXPECT_GT(goodput.total(), 0.0);
 }
 
 TEST(TestbedTest, DeployIdsRequiresDeploy) {

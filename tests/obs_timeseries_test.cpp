@@ -397,16 +397,24 @@ core::ShardWorkloadConfig telemetry_workload(std::size_t shards,
 }
 
 /// Header line plus every "domain":"sim" line — the cross-layout equality
-/// surface; "wall" lines legitimately differ run to run.
+/// surface; "wall" lines legitimately differ run to run. The header (the
+/// series names, kinds and domains) must lead the stream, exactly once.
 std::string sim_domain_lines(const std::string& path) {
   std::ifstream in{path};
   EXPECT_TRUE(in.is_open()) << path;
   std::string out, line;
+  std::size_t headers = 0;
+  bool first = true;
   while (std::getline(in, line)) {
-    if (line.find("\"t\":\"header\"") != std::string::npos ||
-        line.find("\"domain\":\"sim\"") != std::string::npos)
-      out += line + "\n";
+    const bool header = line.rfind("{\"schema\":", 0) == 0;
+    if (header) {
+      EXPECT_TRUE(first) << path << ": header after other lines";
+      ++headers;
+    }
+    first = false;
+    if (header || line.find("\"domain\":\"sim\"") != std::string::npos) out += line + "\n";
   }
+  EXPECT_EQ(headers, 1u) << path;
   return out;
 }
 

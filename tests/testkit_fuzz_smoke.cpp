@@ -56,8 +56,7 @@ FuzzOptions smoke_options() {
   const char* mitigate_env = std::getenv("DDOSHIELD_FUZZ_MITIGATE");
   opts.enable_mitigation = mitigate_env != nullptr && mitigate_env[0] != '\0';
   // CI's lifecycle fuzz configuration re-runs the seed range with drift
-  // detection, background retraining, and hot-swap armed (and, under TSan,
-  // with the retrainer thread instrumented).
+  // detection, retraining, and hot-swap armed.
   const char* lifecycle_env = std::getenv("DDOSHIELD_FUZZ_LIFECYCLE");
   opts.enable_lifecycle = lifecycle_env != nullptr && lifecycle_env[0] != '\0';
   return opts;
@@ -142,7 +141,7 @@ INSTANTIATE_TEST_SUITE_P(ClosedLoop, FuzzMitigation, ::testing::Values(7ull, 13u
 // the event log — now carrying per-window model versions, swap lines, and
 // the lifecycle summary — must replay byte for byte (the swap schedule is
 // sim-domain data, so a replay switches models at the same window
-// boundary however long the retrain worker takes).
+// boundary however long a retrain takes).
 class FuzzLifecycle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzLifecycle, HotSwapReplaysByteIdentical) {
