@@ -20,6 +20,10 @@
 // in the golden (batch invariance within the token) plus a
 // quantized-vs-float accuracy-parity bar (≤2% verdict mismatches).
 //
+// The JSON's config block records the host's CPU count and the block
+// kernel each paper model selected on it ("avx2", "sse2" or "scalar";
+// read from the ml-private kernel headers, as the kernel tests do).
+//
 // Outputs BENCH_INFER.json. With --golden FILE the verdict checksums are
 // checked against the committed golden (CI perf-smoke); --write-golden
 // regenerates it. --min-speedup S additionally requires the batched
@@ -40,6 +44,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -48,6 +53,8 @@
 #include "features/extractor.hpp"
 #include "ml/classifier.hpp"
 #include "ml/cnn.hpp"
+#include "ml/cnn_kernel.hpp"
+#include "ml/kmeans_kernel.hpp"
 #include "ml/model_store.hpp"
 #include "util/logging.hpp"
 
@@ -233,13 +240,20 @@ void write_json(const std::string& path, const std::vector<RunResult>& runs,
   out << "    \"scenario_seed\": " << kScenarioSeed << ",\n";
   out << "    \"eval_rows\": " << eval.x.rows() << ",\n";
   out << "    \"eval_truth_malicious\": " << eval.truth_malicious << ",\n";
+  out << "    \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n";
+  const bool kmeans_avx2 =
+      ml::kmeans_kernel::block_kernel() == ml::kmeans_kernel::nearest_block_avx2;
+  out << "    \"kernels\": {\"rf\": \"scalar\", \"kmeans\": \""
+      << (kmeans_avx2 ? "avx2" : "scalar") << "\", \"cnn\": \"" << ml::cnn_kernel::kernels().name
+      << "\"},\n";
   out << "    \"batch_sizes\": [";
   for (std::size_t i = 0; i < batch_sizes.size(); ++i) out << (i ? ", " : "") << batch_sizes[i];
   out << "],\n";
   out << "    \"notes\": \"verdict_checksum and flagged are deterministic; the checksum is "
          "identical across kernels and batch sizes (gated); packets_per_sec, cpu_percent, "
          "cpu_us_per_row and peak_rss_kb are machine-dependent and not gated; cnn-int8 is "
-         "checksum-stable but not bit-identical to cnn and is gated by int8_parity instead\"\n";
+         "checksum-stable but not bit-identical to cnn and is gated by int8_parity instead; "
+         "host_cpus and kernels describe the host the sweep ran on\"\n";
   out << "  },\n";
   out << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "ml/cnn_kernel.hpp"
+
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
@@ -16,15 +18,9 @@ namespace ddoshield::ml {
 //   dense1_w_[h * flat + i]           — hidden unit h, flattened input i
 //   dense2_w_[c * hidden + h]         — class c, hidden unit h
 // Flattened conv output index: f * pooled_length() + p.
-//
-// Block layouts shared by score_batch() and training (`rows` rows):
-//   pooled[r * flat + i]              — row r's flattened MaxPool output
-//   zt[h * rows + r]                  — Dense(hidden) pre-activation, transposed
-//   logits[2 * r + c]                 — Dense(2) output
+// The block layouts score_batch() and training share are in cnn_kernel.hpp.
 
 namespace {
-
-constexpr std::size_t kTileRows = 16;  // Dense(hidden) micro-tile width (rows)
 
 /// Adam state for one parameter tensor.
 struct AdamState {
@@ -38,7 +34,9 @@ struct AdamState {
 /// updates run. Two lanes per SSE2 instruction, each evaluating the
 /// scalar tail's expression tree with separate mul and add and correctly
 /// rounded sqrt and div, so every element matches the scalar loop bit for
-/// bit.
+/// bit. It has no AVX2 form: the loop is bound by the throughput of the
+/// divide and square root, which 4-lane AVX2 does not raise on this
+/// generation of x86 cores.
 void adam_step(std::vector<double>& params, const std::vector<double>& grads, AdamState& state,
                const CnnConfig& cfg, double inv_batch, double lr_t) {
   const double b1 = cfg.beta1, c1 = 1.0 - cfg.beta1;
@@ -69,62 +67,6 @@ void adam_step(std::vector<double>& params, const std::vector<double>& grads, Ad
     m[i] = b1 * m[i] + c1 * gi;
     v[i] = b2 * v[i] + c2 * gi * gi;
     p[i] -= lr_t * m[i] / (std::sqrt(v[i]) + 1e-8);
-  }
-}
-
-/// Gradient of Dense(hidden) for one hidden unit over a batch, restricted
-/// to the rows whose ReLU gate is open (`active`, ascending, with their
-/// back-propagated gradients `dz`):
-///   g[i]           = Σ_a dz[a] · pooled[active[a]][i]   (rows ascending)
-///   d_pooled[r][i] += dz[a] · w[i]                       (one unit's term)
-/// Called for the units in ascending order, so each d_pooled element sums
-/// its units in ascending order too. The columns run in register-blocked
-/// chunks of 12 (the production flat size is 72), then one at a time; a
-/// chunk keeps its weights and its 12 gradient accumulators in registers
-/// for the whole row sweep, which GCC's -O2 vectorizer does not do for
-/// the plain loops.
-void dense1_unit_grad(const double* w, const double* pooled, std::size_t flat,
-                      const std::uint32_t* active, const double* dz, std::size_t n_active,
-                      double* g, double* d_pooled) {
-  std::size_t i0 = 0;
-#if defined(__SSE2__)
-  for (; i0 + 12 <= flat; i0 += 12) {
-    const __m128d w0 = _mm_loadu_pd(w + i0), w1 = _mm_loadu_pd(w + i0 + 2);
-    const __m128d w2 = _mm_loadu_pd(w + i0 + 4), w3 = _mm_loadu_pd(w + i0 + 6);
-    const __m128d w4 = _mm_loadu_pd(w + i0 + 8), w5 = _mm_loadu_pd(w + i0 + 10);
-    __m128d a0 = _mm_setzero_pd(), a1 = a0, a2 = a0, a3 = a0, a4 = a0, a5 = a0;
-    for (std::size_t a = 0; a < n_active; ++a) {
-      const __m128d s = _mm_set1_pd(dz[a]);
-      const double* p = pooled + active[a] * flat + i0;
-      double* dp = d_pooled + active[a] * flat + i0;
-      a0 = _mm_add_pd(a0, _mm_mul_pd(s, _mm_loadu_pd(p)));
-      a1 = _mm_add_pd(a1, _mm_mul_pd(s, _mm_loadu_pd(p + 2)));
-      a2 = _mm_add_pd(a2, _mm_mul_pd(s, _mm_loadu_pd(p + 4)));
-      a3 = _mm_add_pd(a3, _mm_mul_pd(s, _mm_loadu_pd(p + 6)));
-      a4 = _mm_add_pd(a4, _mm_mul_pd(s, _mm_loadu_pd(p + 8)));
-      a5 = _mm_add_pd(a5, _mm_mul_pd(s, _mm_loadu_pd(p + 10)));
-      _mm_storeu_pd(dp, _mm_add_pd(_mm_loadu_pd(dp), _mm_mul_pd(s, w0)));
-      _mm_storeu_pd(dp + 2, _mm_add_pd(_mm_loadu_pd(dp + 2), _mm_mul_pd(s, w1)));
-      _mm_storeu_pd(dp + 4, _mm_add_pd(_mm_loadu_pd(dp + 4), _mm_mul_pd(s, w2)));
-      _mm_storeu_pd(dp + 6, _mm_add_pd(_mm_loadu_pd(dp + 6), _mm_mul_pd(s, w3)));
-      _mm_storeu_pd(dp + 8, _mm_add_pd(_mm_loadu_pd(dp + 8), _mm_mul_pd(s, w4)));
-      _mm_storeu_pd(dp + 10, _mm_add_pd(_mm_loadu_pd(dp + 10), _mm_mul_pd(s, w5)));
-    }
-    _mm_storeu_pd(g + i0, a0);
-    _mm_storeu_pd(g + i0 + 2, a1);
-    _mm_storeu_pd(g + i0 + 4, a2);
-    _mm_storeu_pd(g + i0 + 6, a3);
-    _mm_storeu_pd(g + i0 + 8, a4);
-    _mm_storeu_pd(g + i0 + 10, a5);
-  }
-#endif
-  for (; i0 < flat; ++i0) {
-    double acc = 0.0;
-    for (std::size_t a = 0; a < n_active; ++a) {
-      acc += dz[a] * pooled[active[a] * flat + i0];
-      d_pooled[active[a] * flat + i0] += dz[a] * w[i0];
-    }
-    g[i0] = acc;
   }
 }
 
@@ -245,125 +187,6 @@ void Cnn1D::conv_pool_row(const double* in, double* conv, double* pooled,
   }
 }
 
-void Cnn1D::dense1_block(const double* pooled, std::size_t rows, double* zt, double* pt) const {
-  const std::size_t flat = flat_size();
-  const std::size_t h_count = config_.hidden;
-  // Hidden unit outer, rows inner: each weight row is loaded once per
-  // 16-row tile and reused across it, where a per-row GEMV streams the
-  // whole H × flat matrix (beyond L2) once per row.
-  std::size_t r0 = 0;
-  for (; r0 + kTileRows <= rows; r0 += kTileRows) {
-    // Row j's pooled value for input i sits at pt[i * kTileRows + j], so
-    // the tile's 16 accumulators form contiguous lanes.
-    for (std::size_t j = 0; j < kTileRows; ++j) {
-      const double* p_row = pooled + (r0 + j) * flat;
-      for (std::size_t i = 0; i < flat; ++i) pt[i * kTileRows + j] = p_row[i];
-    }
-    for (std::size_t h = 0; h < h_count; ++h) {
-      const double* w = &dense1_w_[h * flat];
-      const double b = dense1_b_[h];
-      double* out = zt + h * rows + r0;
-#if defined(__SSE2__)
-      // Each lane is an independent bias-first, i-ascending chain of
-      // mul-then-add, so every output matches forward()'s dot product bit
-      // for bit. Named accumulators keep the tile in registers; GCC -O2
-      // leaves an accumulator array in stack slots.
-      const __m128d bv = _mm_set1_pd(b);
-      __m128d a0 = bv, a1 = bv, a2 = bv, a3 = bv, a4 = bv, a5 = bv, a6 = bv, a7 = bv;
-      for (std::size_t i = 0; i < flat; ++i) {
-        const __m128d wi = _mm_set1_pd(w[i]);
-        const double* col = pt + i * kTileRows;
-        a0 = _mm_add_pd(a0, _mm_mul_pd(wi, _mm_loadu_pd(col + 0)));
-        a1 = _mm_add_pd(a1, _mm_mul_pd(wi, _mm_loadu_pd(col + 2)));
-        a2 = _mm_add_pd(a2, _mm_mul_pd(wi, _mm_loadu_pd(col + 4)));
-        a3 = _mm_add_pd(a3, _mm_mul_pd(wi, _mm_loadu_pd(col + 6)));
-        a4 = _mm_add_pd(a4, _mm_mul_pd(wi, _mm_loadu_pd(col + 8)));
-        a5 = _mm_add_pd(a5, _mm_mul_pd(wi, _mm_loadu_pd(col + 10)));
-        a6 = _mm_add_pd(a6, _mm_mul_pd(wi, _mm_loadu_pd(col + 12)));
-        a7 = _mm_add_pd(a7, _mm_mul_pd(wi, _mm_loadu_pd(col + 14)));
-      }
-      _mm_storeu_pd(out + 0, a0);
-      _mm_storeu_pd(out + 2, a1);
-      _mm_storeu_pd(out + 4, a2);
-      _mm_storeu_pd(out + 6, a3);
-      _mm_storeu_pd(out + 8, a4);
-      _mm_storeu_pd(out + 10, a5);
-      _mm_storeu_pd(out + 12, a6);
-      _mm_storeu_pd(out + 14, a7);
-#else
-      for (std::size_t j = 0; j < kTileRows; ++j) out[j] = b;
-      for (std::size_t i = 0; i < flat; ++i) {
-        const double wi = w[i];
-        const double* col = pt + i * kTileRows;
-        for (std::size_t j = 0; j < kTileRows; ++j) out[j] += wi * col[j];
-      }
-#endif
-    }
-  }
-  // Remainder rows (final partial tile): plain per-row dot products.
-  for (; r0 < rows; ++r0) {
-    const double* p_row = pooled + r0 * flat;
-    for (std::size_t h = 0; h < h_count; ++h) {
-      const double* w = &dense1_w_[h * flat];
-      double sum = dense1_b_[h];
-      for (std::size_t i = 0; i < flat; ++i) sum += w[i] * p_row[i];
-      zt[h * rows + r0] = sum;
-    }
-  }
-}
-
-void Cnn1D::dense2_block(const double* zt, std::size_t rows, double* logits) const {
-  const std::size_t h_count = config_.hidden;
-  const double* w0 = &dense2_w_[0];
-  const double* w1 = &dense2_w_[h_count];
-  std::size_t r = 0;
-#if defined(__SSE2__)
-  // Four row pairs per pass: 8 independent accumulator chains instead of
-  // one row's two, each still summing its units in ascending order.
-  const __m128d zero = _mm_setzero_pd();
-  const auto relu = [zero](__m128d z) { return _mm_and_pd(_mm_cmpgt_pd(z, zero), z); };
-  for (; r + 8 <= rows; r += 8) {
-    __m128d a0 = _mm_set1_pd(dense2_b_[0]), b0 = _mm_set1_pd(dense2_b_[1]);
-    __m128d a1 = a0, a2 = a0, a3 = a0, b1 = b0, b2 = b0, b3 = b0;
-    for (std::size_t h = 0; h < h_count; ++h) {
-      const __m128d c0 = _mm_set1_pd(w0[h]), c1 = _mm_set1_pd(w1[h]);
-      const double* z = zt + h * rows + r;
-      const __m128d z0 = relu(_mm_loadu_pd(z)), z1 = relu(_mm_loadu_pd(z + 2));
-      const __m128d z2 = relu(_mm_loadu_pd(z + 4)), z3 = relu(_mm_loadu_pd(z + 6));
-      a0 = _mm_add_pd(a0, _mm_mul_pd(c0, z0));
-      a1 = _mm_add_pd(a1, _mm_mul_pd(c0, z1));
-      a2 = _mm_add_pd(a2, _mm_mul_pd(c0, z2));
-      a3 = _mm_add_pd(a3, _mm_mul_pd(c0, z3));
-      b0 = _mm_add_pd(b0, _mm_mul_pd(c1, z0));
-      b1 = _mm_add_pd(b1, _mm_mul_pd(c1, z1));
-      b2 = _mm_add_pd(b2, _mm_mul_pd(c1, z2));
-      b3 = _mm_add_pd(b3, _mm_mul_pd(c1, z3));
-    }
-    // Lane j of (a_q, b_q) is row r + 2q + j's (logit 0, logit 1).
-    double* out = logits + 2 * r;
-    _mm_storeu_pd(out + 0, _mm_unpacklo_pd(a0, b0));
-    _mm_storeu_pd(out + 2, _mm_unpackhi_pd(a0, b0));
-    _mm_storeu_pd(out + 4, _mm_unpacklo_pd(a1, b1));
-    _mm_storeu_pd(out + 6, _mm_unpackhi_pd(a1, b1));
-    _mm_storeu_pd(out + 8, _mm_unpacklo_pd(a2, b2));
-    _mm_storeu_pd(out + 10, _mm_unpackhi_pd(a2, b2));
-    _mm_storeu_pd(out + 12, _mm_unpacklo_pd(a3, b3));
-    _mm_storeu_pd(out + 14, _mm_unpackhi_pd(a3, b3));
-  }
-#endif
-  for (; r < rows; ++r) {
-    double l0 = dense2_b_[0], l1 = dense2_b_[1];
-    for (std::size_t h = 0; h < h_count; ++h) {
-      const double z = zt[h * rows + r];
-      const double a = z > 0.0 ? z : 0.0;
-      l0 += w0[h] * a;
-      l1 += w1[h] * a;
-    }
-    logits[2 * r] = l0;
-    logits[2 * r + 1] = l1;
-  }
-}
-
 void Cnn1D::initialize(std::size_t input_dim, const StandardScaler& scaler) {
   if (!scaler.fitted() || scaler.mean().size() != input_dim) {
     throw std::invalid_argument("Cnn1D::initialize: scaler does not match input width");
@@ -479,11 +302,12 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
 
-  // Per-batch blocks (see the layouts at the top of this file).
+  const cnn_kernel::Kernels& kern = cnn_kernel::kernels();
+  // Per-batch blocks (layouts in cnn_kernel.hpp).
   std::vector<double> conv(max_rows * f_count * d);  // conv pre-activations
   std::vector<double> pooled(max_rows * flat);
   std::vector<std::size_t> argmax(max_rows * flat);  // into the row's conv block
-  std::vector<double> pt(flat * kTileRows);
+  std::vector<double> pt(cnn_kernel::tile_scratch_size(flat));
   std::vector<double> zt(h_count * max_rows);
   std::vector<double> logits(2 * max_rows);
   std::vector<double> d_logit0(max_rows), d_logit1(max_rows);
@@ -516,8 +340,10 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
         conv_pool_row(data.row(order[start + r]).data(), &conv[r * f_count * d],
                       &pooled[r * flat], &argmax[r * flat]);
       }
-      dense1_block(pooled.data(), rows, zt.data(), pt.data());
-      dense2_block(zt.data(), rows, logits.data());
+      kern.dense1_block(dense1_w_.data(), dense1_b_.data(), h_count, flat, pooled.data(), rows,
+                        zt.data(), pt.data());
+      kern.dense2_block(dense2_w_.data(), dense2_b_.data(), h_count, zt.data(), rows,
+                        logits.data());
 
       // Softmax + cross-entropy: dL/dlogits, and the Dense(2) bias grad.
       g_d2_b[0] = 0.0;
@@ -539,39 +365,16 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
       std::fill(d_pooled.begin(), d_pooled.begin() + static_cast<std::ptrdiff_t>(rows * flat),
                 0.0);
       for (std::size_t h = 0; h < h_count; ++h) {
-        const double* z = &zt[h * rows];
-        const double w0 = dense2_w_[h], w1 = dense2_w_[h_count + h];
-        std::size_t r = 0;
-#if defined(__SSE2__)
-        // Branch-free over row pairs: the ReLU gate is a compare mask
-        // (open where !(z <= 0), the reference loop's skip test), and
-        // d_relu2 keeps that loop's (0 + dl0·w0) + dl1·w1 order.
-        const __m128d zero = _mm_setzero_pd();
-        const __m128d vw0 = _mm_set1_pd(w0), vw1 = _mm_set1_pd(w1);
-        for (; r + 2 <= rows; r += 2) {
-          const __m128d zr = _mm_loadu_pd(z + r);
-          const __m128d gate = _mm_cmpnle_pd(zr, zero);
-          const __m128d back =
-              _mm_add_pd(_mm_add_pd(zero, _mm_mul_pd(_mm_loadu_pd(&d_logit0[r]), vw0)),
-                         _mm_mul_pd(_mm_loadu_pd(&d_logit1[r]), vw1));
-          _mm_storeu_pd(&relu2[r], _mm_and_pd(_mm_cmpgt_pd(zr, zero), zr));
-          _mm_storeu_pd(&dz[r], _mm_and_pd(gate, back));
-          const int bits = _mm_movemask_pd(gate);
-          gate_open[r] = static_cast<std::uint8_t>(bits & 1);
-          gate_open[r + 1] = static_cast<std::uint8_t>(bits >> 1);
-        }
-#endif
-        for (; r < rows; ++r) {
-          const bool gate = !(z[r] <= 0.0);
-          relu2[r] = z[r] > 0.0 ? z[r] : 0.0;
-          dz[r] = gate ? (0.0 + d_logit0[r] * w0) + d_logit1[r] * w1 : 0.0;
-          gate_open[r] = gate ? 1 : 0;
-        }
+        // The gate is a compare mask (open where !(z <= 0), the
+        // reference loop's skip test), so random ReLU signs cost no
+        // mispredictions.
+        kern.relu_gate(&zt[h * rows], d_logit0.data(), d_logit1.data(), dense2_w_[h],
+                       dense2_w_[h_count + h], rows, relu2.data(), dz.data(), gate_open.data());
         // Row-ascending sums. A closed gate contributes an exact +0, which
         // leaves these accumulators (which start at +0) unchanged.
         double s0 = 0.0, s1 = 0.0, sb = 0.0;
         std::size_t n_active = 0;
-        for (r = 0; r < rows; ++r) {
+        for (std::size_t r = 0; r < rows; ++r) {
           s0 += d_logit0[r] * relu2[r];
           s1 += d_logit1[r] * relu2[r];
           sb += dz[r];
@@ -582,8 +385,8 @@ void Cnn1D::train_epochs_with(const DesignMatrix& x, const std::vector<int>& y,
         g_d2_w[h] = s0;
         g_d2_w[h_count + h] = s1;
         g_d1_b[h] = sb;
-        dense1_unit_grad(&dense1_w_[h * flat], pooled.data(), flat, active.data(),
-                         dz_active.data(), n_active, &g_d1_w[h * flat], d_pooled.data());
+        kern.dense1_unit_grad(&dense1_w_[h * flat], pooled.data(), flat, active.data(),
+                              dz_active.data(), n_active, &g_d1_w[h * flat], d_pooled.data());
       }
 
       // --- MaxPool, ReLU1 and Conv1D backward, per row ---------------------
@@ -653,11 +456,12 @@ void Cnn1D::score_batch(const DesignMatrix& x, Verdicts& out) const {
   out.assign(n, 0);
 
   constexpr std::size_t kRowBlock = 32;
+  const cnn_kernel::Kernels& kern = cnn_kernel::kernels();
   std::vector<double> scaled(d);
   std::vector<double> conv(config_.filters * d);  // one row's conv block
   std::vector<std::size_t> argmax(flat);           // (unused when scoring)
   std::vector<double> pooled(kRowBlock * flat);    // the im2col design matrix
-  std::vector<double> pt(flat * kTileRows);        // one tile, transposed
+  std::vector<double> pt(cnn_kernel::tile_scratch_size(flat));  // one tile, transposed
   std::vector<double> zt(h_count * kRowBlock);
   std::vector<double> logits(2 * kRowBlock);
   // int8 path scratch: quantized values live pre-widened to int16 so the
@@ -736,11 +540,12 @@ void Cnn1D::score_batch(const DesignMatrix& x, Verdicts& out) const {
         }
       }
     } else {
-      dense1_block(pooled.data(), bn, zt.data(), pt.data());
+      kern.dense1_block(dense1_w_.data(), dense1_b_.data(), h_count, flat, pooled.data(), bn,
+                        zt.data(), pt.data());
     }
 
     // --- ReLU + Dense(2) + softmax + argmax ------------------------------
-    dense2_block(zt.data(), bn, logits.data());
+    kern.dense2_block(dense2_w_.data(), dense2_b_.data(), h_count, zt.data(), bn, logits.data());
     for (std::size_t r = 0; r < bn; ++r) {
       const double l0 = logits[2 * r], l1 = logits[2 * r + 1];
       if (quantize_) {

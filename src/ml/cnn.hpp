@@ -42,13 +42,16 @@ class Cnn1D : public Classifier {
   void fit(const DesignMatrix& x, const std::vector<int>& y) override;
   int predict(std::span<const double> row) const override;
   /// Batched kernel: scales and convolves a block of rows into an
-  /// im2col-style (rows × flat) pooled matrix, then runs Dense(hidden)
-  /// through dense1_block(), the kernel training shares: one hidden unit
-  /// at a time over a 16-row transposed tile, eight 2-lane accumulators,
-  /// every lane summing the flat dimension from the bias in the scalar
-  /// path's ascending order. The result is bit-identical to predict(),
-  /// while the 16 independent chains hide the FP add latency that
-  /// serialises a single dot product. No per-row allocation.
+  /// im2col-style (rows × flat) pooled matrix, then runs Dense(hidden) and
+  /// Dense(2) through the block kernels training shares
+  /// (cnn_kernel::kernels(): AVX2 where the CPU has it, else SSE2). The
+  /// Dense(hidden) kernel takes one hidden unit at a time over a
+  /// transposed row tile (32 rows in eight 4-lane accumulators under
+  /// AVX2, 16 rows in eight 2-lane ones under SSE2), every lane summing
+  /// the flat dimension from the bias in the scalar path's ascending
+  /// order. The result is bit-identical to predict(), while the
+  /// independent chains hide the FP add latency that serialises a single
+  /// dot product. No per-row allocation.
   void score_batch(const DesignMatrix& x, Verdicts& out) const override;
   /// Lifecycle retrain: fine_tune_epochs extra Adam epochs from the
   /// current parameters on the replay batch (frozen scaler). The shuffle
@@ -122,22 +125,18 @@ class Cnn1D : public Classifier {
   /// per-row oracle the batched kernels are tested against.
   void forward(std::span<const double> scaled, Activations& act) const;
 
-  // Block kernels shared by score_batch() and training (layouts in cnn.cpp).
   /// Conv1D pre-activations (F × D), ReLU + MaxPool(2) output (flat) and
-  /// each pooled value's argmax into the conv block, for one scaled row.
+  /// each pooled value's argmax into the conv block, for one scaled row:
+  /// the front end score_batch() and training share.
   void conv_pool_row(const double* in, double* conv, double* pooled, std::size_t* argmax) const;
-  /// Dense(hidden) pre-activations of `rows` pooled rows, written
-  /// transposed (zt[h * rows + r]); `pt` is flat × 16 scratch.
-  void dense1_block(const double* pooled, std::size_t rows, double* zt, double* pt) const;
-  /// ReLU + Dense(2) over dense1_block()'s output, four row pairs at a
-  /// time; each logit sums its units in ascending order.
-  void dense2_block(const double* zt, std::size_t rows, double* logits) const;
 
-  /// Adam over mini-batches, one batch at a time through block kernels:
-  /// the forward pass above, then backward through Dense(2) and the ReLU
-  /// gate with compare masks, Dense(hidden)'s weight and input gradients
-  /// one unit at a time over the rows whose gate is open (12-column
-  /// register blocks), and Conv1D per row. Every gradient element keeps
+  /// Adam over mini-batches, one batch at a time through the block
+  /// kernels of cnn_kernel.hpp: conv_pool_row and the Dense forward
+  /// kernels score_batch() runs, then backward through Dense(2) and the
+  /// ReLU gate with compare masks, Dense(hidden)'s weight and input
+  /// gradients one unit at a time over the rows whose gate is open
+  /// (24-column register blocks under AVX2, 12-column under SSE2), and
+  /// Conv1D per row. Every gradient element keeps
   /// the summation order of a one-sample-at-a-time loop (batch rows
   /// ascending; input gradients over hidden units ascending) and the
   /// kernels never fuse a multiply into an add, so the trained weights

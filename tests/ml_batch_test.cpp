@@ -129,10 +129,10 @@ TEST_P(BatchEqualityTest, BitIdenticalOnFuzzMatrices) {
 
 TEST_P(BatchEqualityTest, OddBatchSizesIncludingPartialTiles) {
   // Sizes straddling the kernels' internal row blocks and the GEMM tile
-  // width (1, sub-tile, tile±1, block±1).
+  // widths (1, sub-tile, tile±1, block±1, whole blocks).
   const Trained t = make_trained();
   Rng rng{42};
-  for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 31u, 33u, 63u, 65u}) {
+  for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u}) {
     expect_batch_matches_scalar(*t.model, make_fuzz_matrix(n, rng));
   }
 }
