@@ -21,8 +21,10 @@
 // quantized-vs-float accuracy-parity bar (≤2% verdict mismatches).
 //
 // The JSON's config block records the host's CPU count and the block
-// kernel each paper model selected on it ("avx2", "sse2" or "scalar";
-// read from the ml-private kernel headers, as the kernel tests do).
+// kernel each paper model selected on it: K-Means and the CNN "avx2",
+// "sse2" or "scalar" (read from the ml-private kernel headers, as the
+// kernel tests do); the RF has one kernel on every CPU, "packed-levels"
+// (DESIGN.md §10).
 //
 // Outputs BENCH_INFER.json. With --golden FILE the verdict checksums are
 // checked against the committed golden (CI perf-smoke); --write-golden
@@ -243,7 +245,7 @@ void write_json(const std::string& path, const std::vector<RunResult>& runs,
   out << "    \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n";
   const bool kmeans_avx2 =
       ml::kmeans_kernel::block_kernel() == ml::kmeans_kernel::nearest_block_avx2;
-  out << "    \"kernels\": {\"rf\": \"scalar\", \"kmeans\": \""
+  out << "    \"kernels\": {\"rf\": \"packed-levels\", \"kmeans\": \""
       << (kmeans_avx2 ? "avx2" : "scalar") << "\", \"cnn\": \"" << ml::cnn_kernel::kernels().name
       << "\"},\n";
   out << "    \"batch_sizes\": [";

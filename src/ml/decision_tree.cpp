@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace ddoshield::ml {
 
@@ -166,9 +167,14 @@ void DecisionTree::save(util::ByteWriter& w) const {
 }
 
 void DecisionTree::load(util::ByteReader& r) {
+  // feature, threshold, left, right, leaf_class: what save() writes per node.
+  constexpr std::size_t kNodeBytes = 4 * sizeof(std::uint32_t) + sizeof(double);
   num_classes_ = static_cast<int>(r.get_u32());
   depth_ = r.get_u64();
   const std::uint64_t count = r.get_u64();
+  if (count > r.remaining() / kNodeBytes) {
+    throw std::out_of_range("DecisionTree::load: node count exceeds the input");
+  }
   nodes_.clear();
   nodes_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -180,28 +186,50 @@ void DecisionTree::load(util::ByteReader& r) {
     n.leaf_class = static_cast<std::int32_t>(r.get_u32());
     nodes_.push_back(n);
   }
+
+  // Every link predict() can follow points forward to a node no other
+  // link reaches, so each walk ends and the nodes form a tree.
+  std::vector<bool> linked(nodes_.size(), false);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.feature < 0 || n.left < 0 || n.right < 0) continue;  // a leaf
+    for (const std::int32_t child : {n.left, n.right}) {
+      const auto c = static_cast<std::size_t>(child);
+      if (c <= i || c >= nodes_.size() || linked[c]) {
+        nodes_.clear();
+        throw std::invalid_argument("DecisionTree::load: child link " + std::to_string(child) +
+                                    " of node " + std::to_string(i) + " is not a tree edge");
+      }
+      linked[c] = true;
+    }
+  }
 }
 
 std::uint64_t DecisionTree::byte_size() const { return nodes_.size() * sizeof(Node); }
 
-std::int32_t DecisionTree::flatten_append(std::vector<std::int32_t>& feature,
-                                          std::vector<double>& threshold,
-                                          std::vector<std::int32_t>& left,
-                                          std::vector<std::int32_t>& right,
-                                          std::vector<std::int32_t>& leaf_class) const {
-  if (nodes_.empty()) throw std::logic_error("DecisionTree::flatten_append: not trained");
-  const auto offset = static_cast<std::int32_t>(feature.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    const auto self = static_cast<std::int32_t>(offset + static_cast<std::int32_t>(i));
-    const bool leaf = n.feature < 0 || n.left < 0 || n.right < 0;
-    feature.push_back(leaf ? -1 : n.feature);
-    threshold.push_back(n.threshold);
-    left.push_back(leaf ? self : n.left + offset);
-    right.push_back(leaf ? self : n.right + offset);
+std::int32_t DecisionTree::pack_append(std::vector<PackedNode>& nodes,
+                                       std::vector<std::int32_t>& leaf_class) const {
+  if (nodes_.empty()) throw std::logic_error("DecisionTree::pack_append: not trained");
+  const std::size_t base = nodes.size();
+  // order[k] is the tree node that lands in slot base + k; a node's
+  // children are appended as a pair when it is placed, so they are
+  // adjacent and breadth-first. load() guarantees the links form a tree.
+  std::vector<std::int32_t> order{0};
+  std::int32_t max_feature = -1;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Node& n = nodes_[static_cast<std::size_t>(order[k])];
+    const auto slot = static_cast<std::int32_t>(base + k);
+    if (n.feature < 0 || n.left < 0 || n.right < 0) {
+      nodes.push_back({std::numeric_limits<double>::quiet_NaN(), 0, slot - 1});
+    } else {
+      nodes.push_back({n.threshold, n.feature, static_cast<std::int32_t>(base + order.size())});
+      order.push_back(n.left);
+      order.push_back(n.right);
+      max_feature = std::max(max_feature, n.feature);
+    }
     leaf_class.push_back(n.leaf_class);
   }
-  return offset;
+  return max_feature;
 }
 
 }  // namespace ddoshield::ml

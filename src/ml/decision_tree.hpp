@@ -38,21 +38,38 @@ class DecisionTree {
   std::size_t depth() const { return depth_; }
 
   void save(util::ByteWriter& w) const;
+  /// Throws std::out_of_range when the node count exceeds what the
+  /// remaining bytes can hold (before allocating), and
+  /// std::invalid_argument when an internal node links to a child out of
+  /// range, at or before itself, or already linked from another parent:
+  /// the links must form a tree that predict() walks downward and
+  /// pack_append() lays out breadth-first.
   void load(util::ByteReader& r);
 
   /// Bytes used by the node array.
   std::uint64_t byte_size() const;
 
-  /// Appends this tree's nodes to the caller's parallel flat arrays (SoA),
-  /// child indices rebased to absolute positions; returns the root's
-  /// absolute index. Nodes the scalar walker treats as leaves (feature,
-  /// left, or right negative) are emitted with feature = -1 and self-loop
-  /// children, so batched traversal terminates on a single test per hop.
-  /// RandomForest's batched kernel builds its whole-forest layout with
-  /// this.
-  std::int32_t flatten_append(std::vector<std::int32_t>& feature, std::vector<double>& threshold,
-                              std::vector<std::int32_t>& left, std::vector<std::int32_t>& right,
-                              std::vector<std::int32_t>& leaf_class) const;
+  /// One node of RandomForest's packed scoring layout: 16 bytes, one
+  /// cache line holds four. An internal node's children sit side by side
+  /// at `child` (taken on `x <= threshold`) and `child + 1`, so a hop is
+  /// `next = child + !(x <= threshold)`. A leaf steps to itself: NaN
+  /// threshold (every comparison is false), feature 0, child = its own
+  /// slot - 1. Its class is kept apart from the node, in the caller's
+  /// leaf_class array.
+  struct PackedNode {
+    double threshold;
+    std::int32_t feature;
+    std::int32_t child;
+  };
+
+  /// Appends this tree's reachable nodes to `nodes` in breadth-first
+  /// order, rooted at the slot `nodes.size()` had on entry, and each
+  /// node's class to `leaf_class` at the same slot. Nodes predict()
+  /// treats as leaves (feature, left or right negative) become
+  /// self-stepping leaves. Returns the largest feature index an internal
+  /// node reads, or -1 when every reachable node is a leaf.
+  std::int32_t pack_append(std::vector<PackedNode>& nodes,
+                           std::vector<std::int32_t>& leaf_class) const;
 
  private:
   struct Node {

@@ -34,15 +34,18 @@ class RandomForest : public Classifier {
 
   std::string name() const override { return "rf"; }
   void fit(const DesignMatrix& x, const std::vector<int>& y) override;
+  /// Throws std::invalid_argument when a split reads a feature at or past
+  /// the row's end (score_batch likewise for the matrix width).
   int predict(std::span<const double> row) const override;
-  /// Batched kernel over a flattened whole-forest node layout (SoA arrays,
-  /// leaves as self-loops), walked row-block by row-block with a cmov
-  /// select per hop — no virtual dispatch per tree, no pointer chase into
-  /// per-tree vectors. Bit-identical to predict() per row.
+  /// Level-synchronous kernel over the packed forest (DESIGN.md §10):
+  /// rows run in balanced blocks of at most 128, each block as lanes, one
+  /// per (row, tree), in groups of at most 256. Every pass steps each
+  /// live lane one level and drops the lanes that reached a leaf, so no
+  /// lane waits on a deeper one. Bit-identical to predict() per row.
   void score_batch(const DesignMatrix& x, Verdicts& out) const override;
   /// Lifecycle retrain: replaces a deterministic rng-chosen subset of
   /// trees (refresh_fraction of the forest) with trees grown on bootstrap
-  /// samples of the replay batch, then rebuilds the flat kernel layout.
+  /// samples of the replay batch, then rebuilds the packed layout.
   bool incremental_update(const DesignMatrix& x, const std::vector<int>& y,
                           util::Rng& rng) override;
   /// Copies the retrain hyperparameters (tree shape, bootstrap bound,
@@ -52,6 +55,9 @@ class RandomForest : public Classifier {
   bool trained() const override { return !trees_.empty(); }
 
   void save(util::ByteWriter& w) const override;
+  /// Throws std::out_of_range when the tree count exceeds what the
+  /// remaining bytes can hold, and std::invalid_argument for an empty tree
+  /// or one DecisionTree::load rejects.
   void load(util::ByteReader& r) override;
 
   std::uint64_t parameter_bytes() const override;
@@ -61,22 +67,21 @@ class RandomForest : public Classifier {
   const RandomForestConfig& config() const { return config_; }
 
  private:
-  /// Whole-forest SoA node arrays for the batched kernel, rebuilt after
-  /// fit() and load() (inference-only; serialization stays tree-shaped).
-  struct FlatForest {
-    std::vector<std::int32_t> feature;  // -1 marks a leaf
-    std::vector<double> threshold;
-    std::vector<std::int32_t> left, right;  // absolute; self-loop at leaves
-    std::vector<std::int32_t> leaf_class;
-    std::vector<std::int32_t> roots;  // one per tree
-    void clear();
-  };
+  using PackedNode = DecisionTree::PackedNode;
 
-  void rebuild_flat();
+  /// Rebuilds the packed layout from trees_; run after fit(), load() and
+  /// incremental_update() (serialization stays tree-shaped).
+  void rebuild_packed();
 
   RandomForestConfig config_;
   std::vector<DecisionTree> trees_;
-  FlatForest flat_;
+  // Every tree's nodes, breadth-first (DecisionTree::pack_append), and
+  // the class of the node in each slot, read once a walk has ended.
+  std::vector<PackedNode> packed_;
+  std::vector<std::int32_t> leaf_class_;
+  std::vector<std::int32_t> roots_;  // one slot per tree
+  // Columns a row must have: one past the largest feature a split reads.
+  std::size_t min_cols_ = 0;
   int num_classes_ = 2;
 };
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "ml/classifier.hpp"
@@ -14,6 +16,7 @@
 #include "ml/kmeans.hpp"
 #include "ml/preprocess.hpp"
 #include "ml/random_forest.hpp"
+#include "rf_model_file.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -129,10 +132,13 @@ TEST_P(BatchEqualityTest, BitIdenticalOnFuzzMatrices) {
 
 TEST_P(BatchEqualityTest, OddBatchSizesIncludingPartialTiles) {
   // Sizes straddling the kernels' internal row blocks and the GEMM tile
-  // widths (1, sub-tile, tile±1, block±1, whole blocks).
+  // widths (1, sub-tile, tile±1, block±1, whole blocks), and the RF's
+  // 128-row blocks and their balanced split (129 runs as 64 + 65, 257 as
+  // 85 + 86 + 86, 1000 as eight of 125).
   const Trained t = make_trained();
   Rng rng{42};
-  for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u}) {
+  for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u,
+                              129u, 255u, 256u, 257u, 300u, 1000u}) {
     expect_batch_matches_scalar(*t.model, make_fuzz_matrix(n, rng));
   }
 }
@@ -170,6 +176,141 @@ std::string model_param_name(const ::testing::TestParamInfo<int>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, BatchEqualityTest, ::testing::Values(0, 1, 2),
                          model_param_name);
+
+// --------------------------------------------------------------------------
+// Random Forest kernel edges: lane groups, leaf roots, split ties, the vote
+// wrap (DESIGN.md §10)
+// --------------------------------------------------------------------------
+
+using test_oracle::RfModelFile;
+using test_oracle::rf_leaf;
+using test_oracle::rf_split;
+
+/// Row counts around the RF kernel's 128-row block and its balanced split.
+constexpr std::size_t kRfBatchSizes[] = {1, 2, 3, 64, 65, 127, 128, 129, 257, 300};
+
+RandomForest load_forest(const RfModelFile& file) {
+  const auto bytes = file.bytes();
+  util::ByteReader r{bytes};
+  RandomForest rf;
+  rf.load(r);
+  return rf;
+}
+
+/// Scores x whole and in every size of kRfBatchSizes, each against
+/// predict().
+void expect_rf_batches_match(const RandomForest& rf, const DesignMatrix& x) {
+  expect_batch_matches_scalar(rf, x);
+  for (const std::size_t n : kRfBatchSizes) {
+    DesignMatrix part{x.cols()};
+    for (std::size_t i = 0; i < n; ++i) part.add_row(x.row(i % x.rows()));
+    expect_batch_matches_scalar(rf, part);
+  }
+}
+
+TEST(RfKernelTest, ForestsOfOneThreeAndAHundredTrees) {
+  // One tree never fills a lane group; 100 trees split unevenly into
+  // groups of 3 (the 65-row block of a 129-row batch) and run 100 lanes
+  // at once for a lone row. Overlapping blobs with noisy labels grow
+  // deep trees, so lanes run many level passes, not just the init pass.
+  DesignMatrix x;
+  std::vector<int> y;
+  Rng data_rng{21};
+  make_blobs(600, 0.5, data_rng, x, y);
+  for (std::size_t i = 0; i < y.size(); i += 7) y[i] ^= 1;
+  for (const std::size_t trees : {1u, 3u, 100u}) {
+    RandomForest rf{RandomForestConfig{.n_estimators = trees}};
+    rf.fit(x, y);
+    Rng rng{trees};
+    expect_rf_batches_match(rf, x);
+    expect_rf_batches_match(rf, make_fuzz_matrix(300, rng));
+  }
+}
+
+/// A complete tree of `depth` split levels in breadth-first order: node i
+/// splits feature (level + shift) % kDims at 0 into 2i + 1 and 2i + 2.
+/// Split nodes carry class 5, which no leaf has, so a lane that stopped
+/// at one would vote a class predict() never returns.
+std::vector<test_oracle::RfNode> complete_tree(std::int32_t depth, std::int32_t shift) {
+  std::vector<test_oracle::RfNode> nodes;
+  const std::int32_t splits = (1 << depth) - 1;
+  for (std::int32_t i = 0; i < splits; ++i) {
+    std::int32_t level = 0;
+    while ((2 << level) - 1 <= i) ++level;
+    test_oracle::RfNode n = rf_split((level + shift) % static_cast<std::int32_t>(kDims), 0.0,
+                                     2 * i + 1, 2 * i + 2);
+    n.leaf_class = 5;
+    nodes.push_back(n);
+  }
+  for (std::int32_t i = 0; i <= splits; ++i) nodes.push_back(rf_leaf(i % 3 == 0 ? 1 : 0));
+  return nodes;
+}
+
+TEST(RfKernelTest, DeepTreesWalkEveryLaneToItsLeaf) {
+  // Every lane takes nine hops: two in the init pass, seven level passes.
+  Rng rng{8};
+  const DesignMatrix x = make_fuzz_matrix(300, rng);
+  expect_rf_batches_match(load_forest({complete_tree(9, 0)}), x);
+  expect_rf_batches_match(
+      load_forest({complete_tree(9, 0), complete_tree(9, 3), complete_tree(9, 6)}), x);
+}
+
+TEST(RfKernelTest, TreesWhoseRootIsALeaf) {
+  // Leaf roots among split trees, and a forest of nothing but leaf roots
+  // (no split reads any feature).
+  Rng rng{5};
+  const DesignMatrix x = make_fuzz_matrix(300, rng);
+  expect_rf_batches_match(load_forest({{rf_leaf(1)},
+                                       {rf_split(0, 0.0, 1, 2), rf_leaf(0), rf_leaf(1)},
+                                       {rf_leaf(0)},
+                                       {rf_leaf(1)},
+                                       {rf_split(3, 1.5, 1, 2), rf_leaf(1), rf_leaf(0)}}),
+                          x);
+  const RandomForest leaves = load_forest({{rf_leaf(1)}, {rf_leaf(0)}, {rf_leaf(1)}});
+  expect_rf_batches_match(leaves, x);
+  Verdicts out;
+  leaves.score_batch(x, out);
+  EXPECT_EQ(out, Verdicts(x.rows(), 1));
+}
+
+TEST(RfKernelTest, RowsOnThresholdsNaNAndInfinities) {
+  // Every combination of eight edge values over the three split features:
+  // a value exactly on a threshold must go left (x <= threshold), NaN
+  // right, and an infinite or NaN threshold must behave as in predict().
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const RandomForest rf = load_forest(
+      {{rf_split(0, 0.5, 1, 2), rf_split(1, 0.5, 3, 4), rf_split(2, kInf, 5, 6), rf_leaf(0),
+        rf_leaf(1), rf_split(1, -0.0, 7, 8), rf_leaf(1), rf_leaf(1), rf_leaf(0)},
+       {rf_split(2, kNaN, 1, 2), rf_leaf(1), rf_split(0, -kInf, 3, 4), rf_leaf(1), rf_leaf(0)},
+       {rf_split(0, 0.5, 1, 2), rf_leaf(1), rf_leaf(0)}});
+  const double edges[] = {0.5, std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0), 0.0, -0.0,
+                          kNaN, kInf, -kInf};
+  DesignMatrix x{3};
+  for (const double a : edges) {
+    for (const double b : edges) {
+      for (const double c : edges) x.add_row(std::vector<double>{a, b, c});
+    }
+  }
+  expect_rf_batches_match(rf, x);
+}
+
+TEST(RfKernelTest, LeafClassesPastTheVoteSlotsWrap) {
+  // predict() votes in slot (unsigned) class % 16: 17 shares slot 1 with
+  // class 1, 16 and 32 share slot 0, and -1 lands in slot 15.
+  const RandomForest rf = load_forest({{rf_split(0, 0.0, 1, 2), rf_leaf(-1), rf_leaf(17)},
+                                       {rf_split(1, 0.0, 1, 2), rf_leaf(-1), rf_leaf(16)},
+                                       {rf_split(2, 0.0, 1, 2), rf_leaf(32), rf_leaf(1)},
+                                       {rf_leaf(-17)}});
+  Rng rng{6};
+  const DesignMatrix x = make_fuzz_matrix(300, rng);
+  expect_rf_batches_match(rf, x);
+  Verdicts out;
+  rf.score_batch(x, out);
+  const std::set<int> seen(out.begin(), out.end());
+  EXPECT_TRUE(seen.count(15)) << "no row voted the wrapped class -1 into the lead";
+  EXPECT_TRUE(seen.count(1)) << "no row voted 17 and 1 into the lead";
+}
 
 // --------------------------------------------------------------------------
 // Scaler guards (train/serve equality)

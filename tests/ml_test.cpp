@@ -15,6 +15,7 @@
 #include "ml/model_store.hpp"
 #include "ml/preprocess.hpp"
 #include "ml/random_forest.hpp"
+#include "rf_model_file.hpp"
 #include "testkit/temp_path.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/rng.hpp"
@@ -402,6 +403,95 @@ TEST(RandomForestTest, DeterministicGivenSeed) {
   a.fit(x, y);
   b.fit(x, y);
   EXPECT_EQ(serialize_model(a), serialize_model(b));
+}
+
+using test_oracle::RfModelFile;
+using test_oracle::rf_leaf;
+using test_oracle::rf_split;
+
+template <typename Exception>
+void expect_rf_load_throws(const RfModelFile& file, const char* what) {
+  const auto bytes = file.bytes();
+  util::ByteReader r{bytes};
+  RandomForest rf;
+  EXPECT_THROW(rf.load(r), Exception) << what;
+}
+
+TEST(RandomForestTest, LoadRejectsALinkBackToTheRoot) {
+  // The root links to itself on both sides: scoring never returned.
+  const RfModelFile file{{rf_split(0, 0.5, 0, 0)}};
+  expect_rf_load_throws<std::invalid_argument>(file, "root -> root");
+  // DecisionTree::load rejects it on its own too (the forest header is 12
+  // bytes: classes and tree count).
+  const auto bytes = file.bytes();
+  util::ByteReader r{std::span{bytes}.subspan(12)};
+  DecisionTree tree;
+  EXPECT_THROW(tree.load(r), std::invalid_argument);
+}
+
+TEST(RandomForestTest, LoadRejectsChildLinksOutOfRange) {
+  // A one-node tree linking to node 5,000,000: scoring segfaulted.
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_split(0, 0.5, 5'000'000, 5'000'000)}}, "child 5e6 of 1 node");
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_split(0, 0.5, 1, 3), rf_leaf(0), rf_leaf(1)}},
+      "right child one past the end");
+}
+
+TEST(RandomForestTest, LoadRejectsLinksThatDoNotPointForward) {
+  // Node 1 links back to node 0: a cycle 0 -> 1 -> 0.
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_split(0, 0.5, 1, 2), rf_split(1, 0.5, 0, 2), rf_leaf(1)}},
+      "backward link");
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_split(0, 0.5, 1, 2), rf_split(1, 0.5, 1, 3), rf_leaf(0),
+                             rf_leaf(1)}},
+      "self link below the root");
+}
+
+TEST(RandomForestTest, LoadRejectsAChildSharedByTwoLinks) {
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_split(0, 0.5, 1, 1), rf_leaf(0)}}, "left == right");
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_split(0, 0.5, 1, 2), rf_split(1, 0.5, 2, 3), rf_leaf(0),
+                             rf_leaf(1)}},
+      "node 2 under the root and under node 1");
+}
+
+TEST(RandomForestTest, LoadRejectsCountsPastTheInputBeforeAllocating) {
+  // 2^40 trees or nodes: the loader used to allocate them and throw
+  // std::bad_alloc.
+  RfModelFile file{{rf_leaf(1)}};
+  file.tree_count = std::uint64_t{1} << 40;
+  expect_rf_load_throws<std::out_of_range>(file, "2^40 trees");
+  file = RfModelFile{{rf_leaf(1)}};
+  file.node_count = std::uint64_t{1} << 40;
+  expect_rf_load_throws<std::out_of_range>(file, "2^40 nodes");
+}
+
+TEST(RandomForestTest, LoadRejectsAnEmptyTree) {
+  expect_rf_load_throws<std::invalid_argument>(
+      RfModelFile{{rf_leaf(1)}, {}}, "second tree without nodes");
+}
+
+TEST(RandomForestTest, LoadedSplitOnAFeaturePastTheRowIsRejectedWhenScored) {
+  // Feature 5 of a 3-wide row was an unchecked read.
+  const auto bytes =
+      RfModelFile{{rf_leaf(0)}, {rf_split(5, 0.5, 1, 2), rf_leaf(0), rf_leaf(1)}}
+          .bytes();
+  util::ByteReader r{bytes};
+  RandomForest rf;
+  rf.load(r);
+  DesignMatrix narrow{3};
+  narrow.add_row(std::vector<double>{0.0, 1.0, 2.0});
+  Verdicts out;
+  EXPECT_THROW(rf.score_batch(narrow, out), std::invalid_argument);
+  EXPECT_THROW(rf.predict(narrow.row(0)), std::invalid_argument);
+
+  DesignMatrix wide{6};
+  wide.add_row(std::vector<double>{0.0, 0.0, 0.0, 0.0, 0.0, 1.0});
+  rf.score_batch(wide, out);
+  EXPECT_EQ(out[0], rf.predict(wide.row(0)));
 }
 
 // --------------------------------------------------------------------------
